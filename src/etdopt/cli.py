@@ -3,14 +3,16 @@
 Parses flat key-value config files (flags override), generates or loads
 instances, runs (seed x schedule) sweeps, and emits plot-ready CSV traces
 plus text summaries. Schedule comparison mode tabulates the broadcasts
-needed to reach objective-gap thresholds against the always-broadcast
-baseline.
+needed to reach objective-gap and consensus thresholds against the
+always-broadcast baseline.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -22,11 +24,11 @@ from .engine import RunConfig, RunTrace, run
 from .graph import check_stepsize_strongly_convex, generate_random_graph, laplacian
 from .objective import (
     CompositeObjective,
-    instance_hash,
     instance_to_text,
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
+    text_digest,
 )
 from .reference import (
     ReferenceSolution,
@@ -209,20 +211,39 @@ def build_instance(cfg: ExperimentConfig, seed: int) -> CompositeObjective:
     return obj
 
 
+def _write_atomic(path: Path, text: str):
+    """Write to a hidden temporary file beside `path`, then rename it over
+    `path`, so that an interrupted write never leaves a partial file under
+    the final name."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def _cached_reference(cfg: ExperimentConfig, objective: CompositeObjective,
-                      cache_dir: Path) -> ReferenceSolution:
-    digest = instance_hash(objective)
+                      instance_text: str, digest: str, cache_dir: Path) -> ReferenceSolution:
+    """The reference solution of `objective`, whose serialized text and its
+    digest the caller passes in. A missing, unreadable or mismatched cache
+    file is a miss: the instance is solved again and the file rewritten."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     instance_path = cache_dir / f"instance_{digest}.txt"
     if not instance_path.exists():
-        instance_path.write_text(instance_to_text(objective))
+        _write_atomic(instance_path, instance_text)
     ref_path = cache_dir / f"reference_{digest}_tol{cfg.reference_tol:.3g}.txt"
-    if ref_path.exists():
+    try:
         sol, stored_digest = reference_from_text(ref_path.read_text())
-        if stored_digest == digest:
+    except (OSError, ValueError):
+        pass
+    else:
+        if stored_digest == digest and sol.x_star.shape == (objective.m,):
             return sol
     sol = solve_centralized(objective, tol=cfg.reference_tol)
-    ref_path.write_text(reference_to_text(sol, digest))
+    _write_atomic(ref_path, reference_to_text(sol, digest))
     return sol
 
 
@@ -243,17 +264,15 @@ def _residual(trace: RunTrace, k: int, x_star: np.ndarray) -> float:
     return float(np.linalg.norm(trace.x_at(k) - x_star[None, :]))
 
 
-def write_trace_csv(path: Path, trace: RunTrace, objective: CompositeObjective,
-                    lap: np.ndarray, reference: ReferenceSolution):
-    """Emit one row per stored round; ergodic quantities start at round 1
-    (round 0 reports the starting point itself). A diverged run ends with a
-    sentinel row of NaNs at the failing round."""
+def write_trace_csv(path: Path, trace: RunTrace, series: metrics.ErgodicSeries,
+                    reference: ReferenceSolution):
+    """Emit one row per stored round, the gap and consensus columns read from
+    the trace's `series`. A diverged run ends with a sentinel row of NaNs at
+    the failing round."""
     summary = metrics.broadcast_summary(trace)
     lines = [CSV_HEADER]
-    for k in trace.stored_rounds():
-        point = trace.x_at(k) if k == 0 else metrics.ergodic_average(trace, k)
-        gap = metrics.objective_gap(objective, point, reference.f_star)
-        cons = metrics.consensus_error(lap, point)
+    for k, gap, cons in zip(series.rounds.tolist(), series.objective_gap,
+                            series.consensus_error):
         resid = _residual(trace, k, reference.x_star)
         lines.append(
             f"{k},{_fmt(gap)},{_fmt(cons)},{_fmt(resid)},"
@@ -321,9 +340,13 @@ def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: 
 
 @dataclass
 class ComparisonTable:
-    """Broadcasts by agent 0 needed to first reach each objective-gap
-    threshold, per schedule, with ratios against the always-broadcast
-    baseline."""
+    """Broadcasts by agent 0 needed to first reach each threshold, per
+    schedule, with ratios against the always-broadcast baseline.
+
+    A threshold thr counts as reached at the first stored round k >= 1 where
+    both the ergodic objective gap and the ergodic consensus error are
+    <= thr: the gap alone can pass through zero at an average that is not in
+    consensus."""
 
     thresholds: tuple
     schedules: tuple
@@ -347,30 +370,25 @@ class ComparisonTable:
         return "\n".join(rows) + "\n"
 
 
-def compare_schedules(traces: dict, objective: CompositeObjective, lap: np.ndarray,
-                      reference: ReferenceSolution,
+def compare_schedules(traces: dict, series: dict,
                       thresholds=GAP_THRESHOLDS) -> ComparisonTable:
-    """Tabulate agent-0 broadcasts needed to reach each gap threshold.
+    """Tabulate agent-0 broadcasts needed to reach each threshold (see
+    `ComparisonTable`).
 
     `traces` maps schedule spec strings to traces that share one instance and
-    seed; a "zero" entry provides the ratio baseline.
+    seed, and `series` maps the same specs to their `metrics.ergodic_series`;
+    a "zero" entry provides the ratio baseline.
     """
     counts: dict = {}
     for spec, trace in traces.items():
-        summary = metrics.broadcast_summary(trace)
+        cumulative = metrics.broadcast_summary(trace).cumulative
+        s = series[spec]
+        after_start = s.rounds >= 1
         row = []
         for thr in thresholds:
-            hit = None
-            for k in trace.stored_rounds():
-                if k < 1:
-                    continue
-                gap = metrics.objective_gap(
-                    objective, metrics.ergodic_average(trace, k), reference.f_star
-                )
-                if gap <= thr:
-                    hit = int(summary.cumulative[k, 0])
-                    break
-            row.append(hit)
+            reached = np.flatnonzero(
+                after_start & (s.objective_gap <= thr) & (s.consensus_error <= thr))
+            row.append(int(cumulative[s.rounds[reached[0]], 0]) if reached.size else None)
         counts[spec] = row
     baseline = counts.get("zero")
     ratios = {}
@@ -417,11 +435,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     for seed in cfg.seeds:
         objective = build_instance(cfg, seed)
+        instance_text = instance_to_text(objective)
+        digest = text_digest(instance_text)
         graph_seed = cfg.graph_seed if cfg.graph_seed is not None else seed
         graph = generate_random_graph(cfg.n, cfg.graph_r, graph_seed)
         lap = laplacian(graph)
-        reference = _cached_reference(cfg, objective, cache_dir)
+        reference = _cached_reference(cfg, objective, instance_text, digest, cache_dir)
         seed_traces: dict = {}
+        seed_series: dict = {}
 
         for spec in schedule_specs:
             schedule = trigger.parse_schedule(spec)
@@ -436,15 +457,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 variant=cfg.effective_variant(),
                 enforce_stepsize=cfg.enforce_stepsize,
             )
-            trace = run(run_cfg)
+            trace = run(run_cfg, instance_digest=digest)
+            series = metrics.ergodic_series(trace, objective, lap, reference.f_star)
             seed_traces[spec] = trace
+            seed_series[spec] = series
 
             run_dir = out_dir / f"{cfg.problem}_s{seed}_{_schedule_dirname(spec)}"
             run_dir.mkdir(parents=True, exist_ok=True)
             certificate_text = ""
             if cfg.certificate and not trace.diverged:
                 certificate_text = _certificate_block(cfg, run_cfg, trace, reference)
-            write_trace_csv(run_dir / "trace.csv", trace, objective, lap, reference)
+            write_trace_csv(run_dir / "trace.csv", trace, series, reference)
             write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, objective, lap,
                           reference, certificate_text)
             result.run_dirs.append(run_dir)
@@ -455,7 +478,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 result.exit_code = 1
 
         if cfg.compare:
-            table = compare_schedules(seed_traces, objective, lap, reference)
+            table = compare_schedules(seed_traces, seed_series)
             table_path = out_dir / f"compare_{cfg.problem}_s{seed}.txt"
             table_path.write_text(table.render())
             result.tables[seed] = table

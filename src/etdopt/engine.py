@@ -417,9 +417,11 @@ def _digest(objective: CompositeObjective) -> str:
         return "unserialized"
 
 
-def run(config: RunConfig) -> RunTrace:
+def run(config: RunConfig, instance_digest: Optional[str] = None) -> RunTrace:
     """Execute the full round loop, collecting snapshots and diagnostics.
 
+    `instance_digest` is recorded in the trace; callers that have already
+    serialized the objective pass its digest, otherwise it is computed here.
     Divergence does not raise: the returned trace is flagged and holds the
     rounds completed before the non-finite iterate appeared.
     """
@@ -427,7 +429,9 @@ def run(config: RunConfig) -> RunTrace:
     stride = config.effective_stride()
     n, m = config.n, config.m
     event_rule = config.schedule.is_event_rule
-    trace = RunTrace(config=config, instance_digest=_digest(config.objective))
+    if instance_digest is None:
+        instance_digest = _digest(config.objective)
+    trace = RunTrace(config=config, instance_digest=instance_digest)
     started = time.perf_counter()
 
     state = initial_state(config)

@@ -1,8 +1,8 @@
 """Undirected communication topology.
 
 Random connected graphs with a prescribed edge budget, Laplacian
-construction, spectral quantities (power iteration with a dense Jacobi
-fallback), and the positive-definiteness margins used to validate
+construction, spectral quantities of symmetric matrices (LAPACK through
+`numpy.linalg`), and the positive-definiteness margins used to validate
 primal-dual stepsizes.
 """
 
@@ -16,14 +16,6 @@ import numpy as np
 
 class GraphConfigError(ValueError):
     """Rejected graph configuration (infeasible edge count, bad ratio, ...)."""
-
-
-class EigensolveError(RuntimeError):
-    """Eigenvalue iteration failed to converge."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} (after {iterations} iterations)")
-        self.iterations = iterations
 
 
 class StepsizeCheck(NamedTuple):
@@ -169,108 +161,24 @@ def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def jacobi_eigh(mat: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Dense symmetric eigendecomposition by cyclic Jacobi rotations.
+def jacobi_eigh(mat: np.ndarray):
+    """Full eigendecomposition of a symmetric matrix by LAPACK.
 
-    Returns (eigenvalues ascending, eigenvectors as columns). Intended for
-    modest sizes (n <= 512); used as the fallback when power iteration
-    stalls and wherever a full spectrum is needed.
+    Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    a = np.array(_check_symmetric(mat), copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a**2) - np.sum(a.diagonal() ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(_check_symmetric(mat))
 
 
-def _power_iteration_top(mat: np.ndarray, tol: float, max_iter: int):
-    """Largest eigenvalue of a PSD matrix via power iteration with a fixed
-    seeded start vector. Returns (value, converged, iterations)."""
-    n = mat.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    vec = rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-    prev = np.inf
-    for it in range(1, max_iter + 1):
-        nxt = mat @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return 0.0, True, it
-        vec = nxt / norm
-        est = float(vec @ (mat @ vec))
-        if abs(est - prev) <= tol * max(abs(est), 1.0):
-            return est, True, it
-        prev = est
-    return prev, False, max_iter
+def max_eigenvalue(mat: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix (LAPACK)."""
+    return float(np.linalg.eigvalsh(_check_symmetric(mat))[-1])
 
 
-_DENSE_FALLBACK_LIMIT = 512
-
-
-def max_eigenvalue(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 20000) -> float:
-    """Largest eigenvalue of a symmetric matrix.
-
-    A Gershgorin shift makes the operator PSD so that power iteration tracks
-    the largest signed eigenvalue; if the iteration stalls, small matrices
-    fall back to the dense Jacobi solve.
-    """
-    mat = _check_symmetric(mat)
-    n = mat.shape[0]
-    if n == 1:
-        return float(mat[0, 0])
-    shift = float(np.max(np.sum(np.abs(mat), axis=1)))
-    if shift == 0.0:
-        return 0.0
-    shifted = mat + shift * np.eye(n)
-    est, converged, its = _power_iteration_top(shifted, tol, max_iter)
-    if converged:
-        return est - shift
-    if n <= _DENSE_FALLBACK_LIMIT:
-        w, _ = jacobi_eigh(mat)
-        return float(w[-1])
-    raise EigensolveError("power iteration did not converge", its)
-
-
-def min_eigenvalue(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 20000) -> float:
-    """Smallest eigenvalue via the shifted spectrum c*I - M with
-    c = max_eigenvalue(M) + 1."""
-    mat = _check_symmetric(mat)
-    c = max_eigenvalue(mat, tol, max_iter) + 1.0
-    flipped = c * np.eye(mat.shape[0]) - mat
-    return c - max_eigenvalue(flipped, tol, max_iter)
+def min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix (LAPACK); its sign is
+    reliable down to roundoff in the matrix entries, so margins near zero
+    are classified correctly."""
+    return float(np.linalg.eigvalsh(_check_symmetric(mat))[0])
 
 
 def _as_diag_vector(values, n: int, name: str) -> np.ndarray:

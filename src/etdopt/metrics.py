@@ -59,6 +59,30 @@ def primal_residual(trace: RunTrace, k: int, x_star: np.ndarray) -> float:
 
 
 @dataclass
+class ErgodicSeries:
+    """Errors of one trace at each of its stored rounds: of the starting
+    point at round 0, of the ergodic average from round 1 on."""
+
+    rounds: np.ndarray           # stored rounds, ascending, 0 first
+    objective_gap: np.ndarray    # |F(point) - F*|
+    consensus_error: np.ndarray  # Laplacian seminorm of the point
+
+
+def ergodic_series(trace: RunTrace, objective: CompositeObjective, lap: np.ndarray,
+                   f_star: float) -> ErgodicSeries:
+    """Objective gap and consensus error at every stored round, computed once
+    for every consumer of the trace."""
+    rounds = np.array(trace.stored_rounds(), dtype=np.int64)
+    gap = np.empty(rounds.shape)
+    cons = np.empty(rounds.shape)
+    for idx, k in enumerate(rounds.tolist()):
+        point = trace.x_at(0) if k == 0 else ergodic_average(trace, k)
+        gap[idx] = objective_gap(objective, point, f_star)
+        cons[idx] = consensus_error(lap, point)
+    return ErgodicSeries(rounds=rounds, objective_gap=gap, consensus_error=cons)
+
+
+@dataclass
 class BroadcastSummary:
     totals: np.ndarray      # per-agent broadcast counts, round 0 included
     cumulative: np.ndarray  # (rounds+1, n) running counts per agent
@@ -224,7 +248,7 @@ def ergodic_rate_certificate(
 
     # Spectrum of beta*L + 11^T/n: 1 on the all-ones line, beta*lambda elsewhere.
     coupling_max = max(1.0, config.beta * lam_max)
-    coupling_norm = float(np.max(eigvals[positive] / (config.beta * eigvals[positive])))
+    coupling_norm = 1.0 / config.beta  # lambda / (beta * lambda) on every positive eigenvalue
     trigger_gain = max(2.0 * config.beta * lam_max, 1.0)
     residual_gain = min(float(np.min(lf)), 1.0 / coupling_max)
 

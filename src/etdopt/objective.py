@@ -371,79 +371,85 @@ def instance_to_text(objective: CompositeObjective) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(lines, keys):
-    out = {}
-    for idx, key in enumerate(keys):
-        name, _, value = lines[idx].partition(" ")
+class LineCursor:
+    """Bounds-checked reader over the lines of a text format: running past
+    the end, a wrong field name or a wrong count of numbers raises
+    ValueError, so truncated text fails like any other malformed text."""
+
+    def __init__(self, text: str, what: str):
+        self.lines = text.splitlines()
+        self.pos = 0
+        self.what = what
+
+    def next(self) -> str:
+        if self.pos >= len(self.lines):
+            raise ValueError(f"{self.what} ends early, at line {self.pos + 1}")
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def field(self, key: str) -> str:
+        """Value of the next line, which must read "key value"."""
+        line = self.next()
+        name, _, value = line.partition(" ")
         if name != key:
-            raise ValueError(f"expected header field {key!r}, got {lines[idx]!r}")
-        out[key] = value
-    return out
+            raise ValueError(f"expected field {key!r} at line {self.pos}, got {line!r}")
+        return value
+
+    def floats(self, count: int) -> np.ndarray:
+        """The next line as exactly `count` numbers."""
+        values = [float(v) for v in self.next().split()]
+        if len(values) != count:
+            raise ValueError(f"expected {count} numbers at line {self.pos}, got {len(values)}")
+        return np.array(values)
 
 
 def instance_from_text(text: str) -> CompositeObjective:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(FORMAT_MAGIC):
+    """Inverse of `instance_to_text`; malformed or truncated text raises
+    ValueError."""
+    cur = LineCursor(text, "instance text")
+    magic = cur.next().split()
+    if len(magic) != 2 or magic[0] != FORMAT_MAGIC:
         raise ValueError("not an instance file")
-    version = int(lines[0].split()[1])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported instance format version {version}")
-    kind = lines[1].split()[1]
+    if magic[1] != str(FORMAT_VERSION):
+        raise ValueError(f"unsupported instance format version {magic[1]}")
+    kind = cur.field("kind")
     if kind == "lasso":
-        head = _parse_header(lines[2:], ["n", "p", "m", "tau", "seed"])
-        n, p, m = int(head["n"]), int(head["p"]), int(head["m"])
-        tau, seed = float(head["tau"]), int(head["seed"])
-        pos = 7
-        smooth, nonsmooth = [], []
-        for i in range(n):
-            if lines[pos] != f"agent {i}":
-                raise ValueError(f"expected 'agent {i}' at line {pos + 1}")
-            pos += 1
-            a = np.array([[float(v) for v in lines[pos + r].split()] for r in range(p)])
-            pos += p
-            b = np.array([float(v) for v in lines[pos].split()])
-            pos += 1
-            smooth.append(LeastSquaresLoss(a, b))
-            nonsmooth.append(ScaledL1(tau, m))
+        n, p, m = int(cur.field("n")), int(cur.field("p")), int(cur.field("m"))
+        tau, seed = float(cur.field("tau")), int(cur.field("seed"))
         meta = {"kind": kind, "n": n, "p": p, "m": m, "tau": tau, "seed": seed}
-        return CompositeObjective(smooth, nonsmooth, meta)
-    if kind == "logistic":
-        head = _parse_header(lines[2:], ["n", "m_i", "m", "ridge", "seed"])
-        n, m_i, m = int(head["n"]), int(head["m_i"]), int(head["m"])
-        ridge, seed = float(head["ridge"]), int(head["seed"])
-        pos = 7
-        smooth, nonsmooth = [], []
-        for i in range(n):
-            if lines[pos] != f"agent {i}":
-                raise ValueError(f"expected 'agent {i}' at line {pos + 1}")
-            pos += 1
-            x = np.array([[float(v) for v in lines[pos + r].split()] for r in range(m_i)])
-            pos += m_i
-            y = np.array([float(v) for v in lines[pos].split()])
-            pos += 1
-            smooth.append(LogisticLoss(x, y, ridge=ridge))
-            nonsmooth.append(ZeroNonsmooth(m))
+    elif kind == "logistic":
+        n, m_i, m = int(cur.field("n")), int(cur.field("m_i")), int(cur.field("m"))
+        ridge, seed = float(cur.field("ridge")), int(cur.field("seed"))
         meta = {"kind": kind, "n": n, "m_i": m_i, "m": m, "ridge": ridge, "seed": seed}
-        return CompositeObjective(smooth, nonsmooth, meta)
-    if kind == "quadratic":
-        head = _parse_header(lines[2:], ["n", "m", "seed"])
-        n, m, seed = int(head["n"]), int(head["m"]), int(head["seed"])
-        pos = 5
-        smooth, nonsmooth = [], []
-        for i in range(n):
-            if lines[pos] != f"agent {i}":
-                raise ValueError(f"expected 'agent {i}' at line {pos + 1}")
-            pos += 1
-            d = np.array([float(v) for v in lines[pos].split()])
-            c = np.array([float(v) for v in lines[pos + 1].split()])
-            pos += 2
-            smooth.append(DiagonalQuadraticLoss(d, c))
-            nonsmooth.append(ZeroNonsmooth(m))
+    elif kind == "quadratic":
+        n, m, seed = int(cur.field("n")), int(cur.field("m")), int(cur.field("seed"))
         meta = {"kind": kind, "n": n, "m": m, "seed": seed}
-        return CompositeObjective(smooth, nonsmooth, meta)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    else:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    smooth, nonsmooth = [], []
+    for i in range(n):
+        if cur.next() != f"agent {i}":
+            raise ValueError(f"expected 'agent {i}' at line {cur.pos}")
+        if kind == "lasso":
+            a = np.array([cur.floats(m) for _ in range(p)])
+            smooth.append(LeastSquaresLoss(a, cur.floats(p)))
+            nonsmooth.append(ScaledL1(tau, m))
+        elif kind == "logistic":
+            x = np.array([cur.floats(m) for _ in range(m_i)])
+            smooth.append(LogisticLoss(x, cur.floats(m_i), ridge=ridge))
+            nonsmooth.append(ZeroNonsmooth(m))
+        else:
+            d = cur.floats(m)
+            smooth.append(DiagonalQuadraticLoss(d, cur.floats(m)))
+            nonsmooth.append(ZeroNonsmooth(m))
+    return CompositeObjective(smooth, nonsmooth, meta)
+
+
+def text_digest(text: str) -> str:
+    """Stable 16-hex-digit digest of an instance's serialized text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def instance_hash(objective: CompositeObjective) -> str:
     """Stable 16-hex-digit digest of the serialized instance."""
-    return hashlib.sha256(instance_to_text(objective).encode()).hexdigest()[:16]
+    return text_digest(instance_to_text(objective))

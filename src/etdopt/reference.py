@@ -2,7 +2,9 @@
 
 Provides the minimizer and optimal value used by the metrics as a baseline,
 a first-order optimality (KKT) residual for network states, and a small text
-cache so expensive solves are not repeated.
+format for caching solves. The solve works on the summed objective, with the
+per-agent losses pooled into one loss per loss class (stacked rows or
+samples) and the per-agent regularizers into one prox.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from .graph import laplacian_quadratic_norm
 from .objective import (
     CompositeObjective,
     DiagonalQuadraticLoss,
+    LeastSquaresLoss,
+    LineCursor,
+    LogisticLoss,
     ScaledL1,
     quadratic_minimizer,
     soft_threshold,
@@ -52,11 +57,35 @@ class _CombinedProx:
         return soft_threshold(y, step * self.total_tau)
 
 
-def _total_gradient(objective: CompositeObjective, theta: np.ndarray) -> np.ndarray:
-    g = np.zeros(objective.m)
-    for part in objective.smooth:
-        g += part.gradient(theta)
-    return g
+class _PooledSmooth:
+    """Gradient of the sum of the per-agent smooth parts, with one pooled
+    loss per loss class: least squares over the stacked rows, logistic over
+    the stacked samples with the ridges summed. Zero parts are dropped; a
+    class without a pooled form keeps its per-agent terms."""
+
+    def __init__(self, objective: CompositeObjective):
+        self.m = objective.m
+        lsq = [f for f in objective.smooth if isinstance(f, LeastSquaresLoss)]
+        logistic = [f for f in objective.smooth if isinstance(f, LogisticLoss)]
+        self.parts = [
+            f for f in objective.smooth
+            if not (f.is_zero or isinstance(f, (LeastSquaresLoss, LogisticLoss)))
+        ]
+        if lsq:
+            self.parts.append(LeastSquaresLoss(
+                np.concatenate([f.a for f in lsq]), np.concatenate([f.b for f in lsq])))
+        if logistic:
+            self.parts.append(LogisticLoss(
+                np.concatenate([f.features for f in logistic]),
+                np.concatenate([f.labels for f in logistic]),
+                ridge=float(sum(f.ridge for f in logistic)),
+            ))
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        g = np.zeros(self.m)
+        for part in self.parts:
+            g += part.gradient(theta)
+        return g
 
 
 def solve_centralized(
@@ -64,7 +93,8 @@ def solve_centralized(
     x0: np.ndarray | None = None,
 ) -> ReferenceSolution:
     """Proximal gradient on the summed objective with fixed step 1/l,
-    l being the total gradient Lipschitz bound.
+    l being the sum of the per-agent gradient Lipschitz bounds. The gradient
+    is taken through the pooled losses of `_PooledSmooth`.
 
     Stops when the prox-gradient mapping norm drops to `tol`; an exhausted
     iteration budget returns the best point flagged as non-certified. Pure
@@ -72,13 +102,14 @@ def solve_centralized(
     """
     m = objective.m
     theta = np.zeros(m) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    smooth = _PooledSmooth(objective)
 
     if (
         all(isinstance(f, DiagonalQuadraticLoss) for f in objective.smooth)
         and all(g.is_zero for g in objective.nonsmooth)
     ):
         x_star = quadratic_minimizer(objective)
-        residual = float(np.linalg.norm(_total_gradient(objective, x_star)))
+        residual = float(np.linalg.norm(smooth.gradient(x_star)))
         return ReferenceSolution(
             x_star=x_star,
             f_star=objective.centralized_value(x_star),
@@ -94,7 +125,7 @@ def solve_centralized(
 
     residual = np.inf
     for it in range(max_iter + 1):
-        theta_next = prox(step, theta - step * _total_gradient(objective, theta))
+        theta_next = prox(step, theta - step * smooth.gradient(theta))
         residual = float(np.linalg.norm(theta - theta_next)) / step
         if residual <= tol:
             return ReferenceSolution(
@@ -177,23 +208,26 @@ def reference_to_text(sol: ReferenceSolution, instance_digest: str) -> str:
 
 
 def reference_from_text(text: str):
-    """Returns (solution, instance_digest)."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(CACHE_MAGIC):
+    """Returns (solution, instance_digest); malformed or truncated text
+    raises ValueError."""
+    cur = LineCursor(text, "reference cache text")
+    if cur.next().split() != [CACHE_MAGIC, str(CACHE_VERSION)]:
         raise ValueError("not a reference cache file")
-    fields = {}
-    for ln in lines[1:7]:
-        key, _, value = ln.partition(" ")
-        fields[key] = value
-    if lines[7] != "x_star":
+    digest = cur.field("instance")
+    tol = float(cur.field("tol"))
+    f_star = float(cur.field("f_star"))
+    solver_residual = float(cur.field("solver_residual"))
+    iterations = int(cur.field("iterations"))
+    certified = bool(int(cur.field("certified")))
+    if cur.next() != "x_star":
         raise ValueError("malformed reference cache file")
-    x_star = np.array([float(v) for v in lines[8].split()])
+    x_star = np.array([float(v) for v in cur.next().split()])
     sol = ReferenceSolution(
         x_star=x_star,
-        f_star=float(fields["f_star"]),
-        solver_residual=float(fields["solver_residual"]),
-        iterations=int(fields["iterations"]),
-        certified=bool(int(fields["certified"])),
-        tol=float(fields["tol"]),
+        f_star=f_star,
+        solver_residual=solver_residual,
+        iterations=iterations,
+        certified=certified,
+        tol=tol,
     )
-    return sol, fields["instance"]
+    return sol, digest

@@ -1,5 +1,10 @@
 """Tests for config parsing, the experiment harness, and schedule comparison."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,8 @@ from etdopt.cli import (
     parse_config,
     run_experiment,
 )
+from etdopt.objective import instance_hash
+from etdopt.reference import reference_from_text
 
 
 def small_cfg(tmp_path, **kwargs) -> ExperimentConfig:
@@ -164,6 +171,39 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert cache[0].stat().st_mtime_ns == stamp  # loaded, not re-solved
 
+    def test_summary_digest_matches_fresh_instance(self, tmp_path):
+        cfg = small_cfg(tmp_path, seeds=(1, 2))
+        result = run_experiment(cfg)
+        for seed, run_dir in zip(cfg.seeds, result.run_dirs):
+            summary = dict(line.partition(" ")[::2]
+                           for line in (run_dir / "summary.txt").read_text().splitlines())
+            assert summary["instance"] == instance_hash(build_instance(cfg, seed))
+
+    def test_truncated_cache_file_is_solved_again(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        first = run_experiment(cfg)
+        (ref_path,) = (tmp_path / "runs" / "cache").glob("reference_*.txt")
+        whole = ref_path.read_text()
+        csv = (first.run_dirs[0] / "trace.csv").read_bytes()
+        for cut in (len(whole) // 2, whole.index("x_star"), len(whole) - 3):
+            ref_path.write_text(whole[:cut])
+            again = run_experiment(cfg)
+            assert again.exit_code == 0
+            assert ref_path.read_text() == whole
+            assert (again.run_dirs[0] / "trace.csv").read_bytes() == csv
+
+    def test_cache_leaves_only_final_names(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        run_experiment(cfg)
+        cache = tmp_path / "runs" / "cache"
+        (instance_path,) = cache.glob("instance_*.txt")
+        digest = instance_path.stem.removeprefix("instance_")
+        assert len(list(cache.glob(f"reference_{digest}_*.txt"))) == 1
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [instance_path.name, f"reference_{digest}_tol1e-10.txt"])
+        sol, stored = reference_from_text((cache / f"reference_{digest}_tol1e-10.txt").read_text())
+        assert stored == digest and sol.x_star.shape == (cfg.m,)
+
     def test_divergent_run_recorded_and_flagged(self, tmp_path):
         cfg = small_cfg(tmp_path, problem="quadratic", eta=(0.001,), beta=1.0,
                         rounds=400, enforce_stepsize=False)
@@ -224,6 +264,31 @@ class TestCompareSchedules:
                 assert count <= base
 
 
+    def test_threshold_needs_consensus_as_well_as_gap(self, tmp_path):
+        # the logistic comparison workload: at round 3 of the zero schedule
+        # the ergodic gap is 0.022 while the consensus error is 11.1
+        cfg = small_cfg(tmp_path, problem="logistic", n=100, m=50, mi=8, graph_r=0.06,
+                        beta=0.05, eta=(32.0,), graph_seed=1, compare=("zero",), rounds=5)
+        result = run_experiment(cfg)
+        table = result.tables[1]
+        assert table.broadcasts["zero"] == [None, None, None, None]
+        rows = np.loadtxt(result.run_dirs[0] / "trace.csv", delimiter=",", skiprows=1)
+        assert rows[3, 1] < 0.1 < rows[3, 2]
+
+    def test_reached_thresholds_hold_both_errors(self, tmp_path):
+        cfg = small_cfg(tmp_path, compare=("poly:1:1.5", "zero"), rounds=800)
+        result = run_experiment(cfg)
+        table = result.tables[1]
+        for spec, run_dir in zip(table.schedules, result.run_dirs):
+            rows = np.loadtxt(run_dir / "trace.csv", delimiter=",", skiprows=1)
+            for thr, count in zip(table.thresholds, table.broadcasts[spec]):
+                both = (rows[:, 0] >= 1) & (rows[:, 1] <= thr) & (rows[:, 2] <= thr)
+                if count is None:
+                    assert not both.any()
+                else:
+                    assert rows[np.argmax(both), 4] == count
+
+
 class TestMain:
     def test_smoke_run(self, tmp_path, capsys):
         cfg_path = tmp_path / "smoke.cfg"
@@ -246,3 +311,13 @@ class TestMain:
 
     def test_bad_flag_value_exits_2(self, tmp_path):
         assert main(["--beta", "-3", "--out", str(tmp_path / "x")]) == 2
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "etdopt.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdopt.graph import (
-    EigensolveError,
     Graph,
     GraphConfigError,
     StepsizeCheck,
@@ -191,6 +190,18 @@ class TestEigenvalues:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             max_eigenvalue(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_min_sign_correct_just_below_zero(self):
+        # a Laplacian shifted down by 1e-10 is indefinite; the margin must
+        # read negative, or a stepsize check would call it positive definite
+        lap = laplacian(generate_random_graph(64, 0.1, seed=1))
+        shifted = lap - 1e-10 * np.eye(64)
+        assert min_eigenvalue(shifted) < 0.0
+        assert min_eigenvalue(shifted) == pytest.approx(-1e-10, abs=1e-13)
+        lam_max = max_eigenvalue(lap)
+        check = check_stepsize_composite(lam_max - 1e-10 + 1.0, 1.0, lap, np.ones(64))
+        assert not check.ok
+        assert check.margin == pytest.approx(-1e-10, abs=1e-13)
 
 
 class TestLaplacianQuadraticNorm:

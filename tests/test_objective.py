@@ -290,3 +290,24 @@ class TestSerialization:
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             instance_from_text("something else\n")
+
+    @pytest.mark.parametrize("kind", ["lasso", "logistic", "quadratic"])
+    def test_truncation_raises_only_value_error(self, kind):
+        if kind == "lasso":
+            obj, _ = make_lasso_instance(2, 2, 3, 0.15, seed=12)
+        elif kind == "logistic":
+            obj, _ = make_logistic_instance(2, 2, 3, seed=12, ridge=0.2)
+        else:
+            obj = make_quadratic_instance(2, 3, seed=12)
+        text = instance_to_text(obj)
+        lines = text.splitlines(keepends=True)
+        for cut in range(len(lines)):
+            with pytest.raises(ValueError):
+                instance_from_text("".join(lines[:cut]))
+        # a cut inside the last number can still parse; any other cut must
+        # fail with ValueError and nothing else
+        for cut in range(len(text)):
+            try:
+                instance_from_text(text[:cut])
+            except ValueError:
+                pass

@@ -8,13 +8,17 @@ from etdopt.objective import (
     CompositeObjective,
     DiagonalQuadraticLoss,
     LeastSquaresLoss,
+    LogisticLoss,
     ScaledL1,
     ZeroNonsmooth,
+    ZeroSmooth,
     make_lasso_instance,
+    make_logistic_instance,
     make_quadratic_instance,
     quadratic_minimizer,
 )
 from etdopt.reference import (
+    _PooledSmooth,
     dual_from_reference,
     kkt_residual,
     reference_from_text,
@@ -86,6 +90,56 @@ class TestSolveCentralized:
         assert sol.solver_residual <= 1e-10
 
 
+def mixed_family_objective():
+    """Least-squares, ridge-logistic, diagonal-quadratic and zero parts on
+    one decision vector."""
+    rng = np.random.default_rng(3)
+    m = 4
+    labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    smooth = [
+        LeastSquaresLoss(rng.standard_normal((3, m)), rng.standard_normal(3)),
+        LogisticLoss(rng.standard_normal((5, m)), labels, ridge=0.3),
+        DiagonalQuadraticLoss(rng.uniform(1.0, 2.0, m), rng.standard_normal(m)),
+        LeastSquaresLoss(rng.standard_normal((2, m)), rng.standard_normal(2)),
+        LogisticLoss(rng.standard_normal((5, m)), -labels, ridge=0.1),
+        ZeroSmooth(m),
+    ]
+    return CompositeObjective(smooth, [ZeroNonsmooth(m) for _ in smooth])
+
+
+class TestPooledSolve:
+    @pytest.mark.parametrize("kind", ["lasso", "ridge-logistic", "mixed"])
+    def test_pooled_gradient_matches_per_agent_sum(self, kind):
+        if kind == "lasso":
+            obj, _ = make_lasso_instance(n=20, p=3, m=7, tau=0.1, seed=2)
+        elif kind == "ridge-logistic":
+            obj, _ = make_logistic_instance(20, 6, 7, seed=2, ridge=0.2)
+        else:
+            obj = mixed_family_objective()
+        pooled = _PooledSmooth(obj)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            theta = rng.standard_normal(obj.m)
+            per_agent = sum(f.gradient(theta) for f in obj.smooth)
+            got = pooled.gradient(theta)
+            assert np.linalg.norm(got - per_agent) <= 1e-12 * np.linalg.norm(per_agent)
+
+    def test_logistic_iteration_count_unchanged(self):
+        # 5,919 iterations is the count of the per-agent gradient sum on
+        # this instance (n=100, 8 samples each, m=50, seed 1)
+        obj, _ = make_logistic_instance(100, 8, 50, seed=1)
+        sol = solve_centralized(obj, tol=1e-10)
+        assert sol.certified
+        assert sol.iterations == 5919
+
+    def test_mixed_family_reaches_stationarity(self):
+        obj = mixed_family_objective()
+        sol = solve_centralized(obj, tol=1e-10)
+        assert sol.certified
+        total = sum(f.gradient(sol.x_star) for f in obj.smooth)
+        assert np.linalg.norm(total) <= 1e-9
+
+
 class TestDualRecovery:
     def test_rows_sum_to_zero(self):
         obj, _ = make_lasso_instance(n=6, p=3, m=5, tau=0.1, seed=8)
@@ -147,3 +201,16 @@ class TestReferenceCacheFormat:
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             reference_from_text("not a cache\n")
+
+    def test_truncation_raises_only_value_error(self):
+        obj, _ = make_lasso_instance(n=3, p=2, m=5, tau=0.01, seed=4)
+        text = reference_to_text(solve_centralized(obj, tol=1e-10), "abc123")
+        lines = text.splitlines(keepends=True)
+        for cut in range(len(lines) - 1):
+            with pytest.raises(ValueError):
+                reference_from_text("".join(lines[:cut]))
+        for cut in range(len(text)):
+            try:
+                reference_from_text(text[:cut])
+            except ValueError:
+                pass
