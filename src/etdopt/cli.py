@@ -296,8 +296,10 @@ def _strong_convexity_margin(cfg_run: RunConfig) -> Optional[float]:
 
 
 def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
-                  objective: CompositeObjective, lap: np.ndarray,
-                  reference: ReferenceSolution, certificate_text: str):
+                  series: metrics.ErgodicSeries, reference: ReferenceSolution,
+                  certificate_text: str):
+    """Write the run's summary, its final errors read from the trace's
+    `series`."""
     done = trace.completed_rounds
     lines = [
         f"problem {cfg.problem}",
@@ -317,10 +319,9 @@ def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: 
         lines.append(f"diverged_round {trace.diverged_round}")
         lines.append(f"diverged_agent {trace.diverged_agent}")
     if done >= 1 and not trace.diverged:
-        avg = metrics.ergodic_average(trace, done)
         lines += [
-            f"final_objective_gap {_fmt(metrics.objective_gap(objective, avg, reference.f_star))}",
-            f"final_consensus_error {_fmt(metrics.consensus_error(lap, avg))}",
+            f"final_objective_gap {_fmt(series.objective_gap[-1])}",
+            f"final_consensus_error {_fmt(series.consensus_error[-1])}",
             f"final_primal_residual {_fmt(_residual(trace, done, reference.x_star))}",
         ]
     summary = metrics.broadcast_summary(trace)
@@ -466,10 +467,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             run_dir.mkdir(parents=True, exist_ok=True)
             certificate_text = ""
             if cfg.certificate and not trace.diverged:
-                certificate_text = _certificate_block(cfg, run_cfg, trace, reference)
+                certificate_text = _certificate_block(cfg, run_cfg, trace, reference, series)
             write_trace_csv(run_dir / "trace.csv", trace, series, reference)
-            write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, objective, lap,
-                          reference, certificate_text)
+            write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, series, reference,
+                          certificate_text)
             result.run_dirs.append(run_dir)
             if trace.diverged:
                 result.diverged_runs.append(
@@ -487,9 +488,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _certificate_block(cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
-                       reference: ReferenceSolution) -> str:
+                       reference: ReferenceSolution, series: metrics.ErgodicSeries) -> str:
     try:
-        cert = metrics.ergodic_rate_certificate(run_cfg, trace, reference, cfg.dual_radius)
+        cert = metrics.ergodic_rate_certificate(run_cfg, trace, reference, cfg.dual_radius,
+                                                series)
         return cert.to_text()
     except metrics.CertificateError as err:
         return f"certificate_skipped {err}\n"

@@ -1,14 +1,21 @@
-"""Synchronous multi-agent round loop.
+"""Synchronous multi-agent round loop on stacked arrays.
 
-Each round has three phases separated by network-wide barriers:
+The network state is three (n, m) stacks, row i belonging to agent i: the
+primal iterates x, the dual variables z and the last broadcast copies
+x_tilde. One round is three network-wide phases, each a few array
+operations:
 
-  A. every agent computes its next primal iterate from round-k quantities;
-  B. every agent checks its trigger rule, updates its broadcast copy, and
-     delivers it to all neighbors;
-  C. every agent runs the dual ascent step on the fully updated copies.
+  A. primal: v = x - (z + grad F(x) + beta L x_tilde) / eta, then the
+     objective's stacked prox (the identity for smooth objectives; the
+     gradient is zero for regularizer-only ones);
+  B. trigger: agent i broadcasts when ||x_i - x_tilde_i|| exceeds its
+     threshold (any movement for the zero schedule, every N-th round for
+     the periodic one), and its copy becomes x_i;
+  C. dual: z + beta L x_tilde on the fully updated copies.
 
-A stacked matrix-form stepper of the same iteration (always-broadcast form)
-is provided as an independent reference path for equivalence checks.
+Delivery is implicit: L x_tilde reads every agent's current copy. A stacked
+always-broadcast stepper built from the per-agent parts is kept as an
+independent reference path for equivalence checks.
 """
 
 from __future__ import annotations
@@ -62,10 +69,6 @@ def suggested_stepsizes(graph: Graph, objective: CompositeObjective,
     return eta, beta
 
 
-class ProtocolError(RuntimeError):
-    """Message-passing contract violated (missing or stale neighbor data)."""
-
-
 class DivergenceError(RuntimeError):
     def __init__(self, agent: int, round_: int):
         super().__init__(f"non-finite iterate at agent {agent}, round {round_}")
@@ -84,6 +87,8 @@ class RunConfig:
     eta: np.ndarray
     rounds: int
     seed: int = 0
+    # A label checked against the objective by `validate`; every variant
+    # runs the same composite step.
     variant: str = "composite"
     x0: Optional[np.ndarray] = None
     z0: Optional[np.ndarray] = None
@@ -132,8 +137,7 @@ class RunConfig:
         for name, arr in (("x0", self.x0), ("z0", self.z0)):
             if arr is not None and np.asarray(arr).shape != (g.n, obj.m):
                 raise ConfigError(f"{name} must have shape ({g.n}, {obj.m})")
-        lf = np.zeros(g.n) if self.variant == "nonsmooth" else obj.lipschitz()
-        check = check_stepsize_composite(self.eta, self.beta, laplacian(g), lf)
+        check = check_stepsize_composite(self.eta, self.beta, laplacian(g), obj.lipschitz())
         if not check.ok:
             msg = f"stepsize condition violated (margin {check.margin:.3e})"
             if self.enforce_stepsize:
@@ -143,192 +147,103 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class AgentState:
+class NetworkState:
+    """All agents at one synchronization point, as read-only stacks: row i
+    of `x`, `z` and `x_tilde` is agent i's primal iterate, dual variable and
+    last broadcast copy. `broadcast_count` counts each agent's broadcasts
+    from round 0 on, and `fired` flags this round's broadcasters."""
+
     x: np.ndarray
     z: np.ndarray
     x_tilde: np.ndarray
-    neighbor_tilde: dict
-    broadcast_count: int
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """All agents at one synchronization point. `events` holds one
-    (round, broadcasters) entry per completed round."""
-
-    agents: tuple
+    broadcast_count: np.ndarray
+    fired: np.ndarray
     round: int
-    events: tuple
-
-    def broadcast_records(self):
-        """Flat (round, agent) pairs, one per broadcast."""
-        return [(k, i) for k, agents in self.events for i in agents]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+    arr.setflags(write=False)
+    return arr
 
 
 def state_primal(state: NetworkState) -> np.ndarray:
-    return np.stack([a.x for a in state.agents])
+    return state.x
 
 
 def state_dual(state: NetworkState) -> np.ndarray:
-    return np.stack([a.z for a in state.agents])
+    return state.z
 
 
 def state_broadcast(state: NetworkState) -> np.ndarray:
-    return np.stack([a.x_tilde for a in state.agents])
+    return state.x_tilde
 
 
 def initial_state(config: RunConfig) -> NetworkState:
     """Round 0: dual variables at zero (unless overridden) and an
     unconditional broadcast of every agent's starting point."""
     n, m = config.n, config.m
-    x0 = np.zeros((n, m)) if config.x0 is None else np.asarray(config.x0, dtype=np.float64)
-    z0 = np.zeros((n, m)) if config.z0 is None else np.asarray(config.z0, dtype=np.float64)
-    xs = [_frozen(x0[i]) for i in range(n)]
-    zs = [_frozen(z0[i]) for i in range(n)]
-    agents = tuple(
-        AgentState(
-            x=xs[i],
-            z=zs[i],
-            x_tilde=xs[i],
-            neighbor_tilde={j: xs[j] for j in config.graph.neighbors[i]},
-            broadcast_count=1,
-        )
-        for i in range(n)
-    )
-    return NetworkState(agents=agents, round=0, events=((0, tuple(range(n))),))
+    x0 = np.zeros((n, m)) if config.x0 is None else np.array(config.x0, dtype=np.float64)
+    z0 = np.zeros((n, m)) if config.z0 is None else np.array(config.z0, dtype=np.float64)
+    x0 = _frozen(x0)
+    return NetworkState(x=x0, z=_frozen(z0), x_tilde=x0,
+                        broadcast_count=_frozen(np.ones(n, dtype=np.int64)),
+                        fired=_frozen(np.ones(n, dtype=bool)), round=0)
 
 
-def laplacian_disagreement(agent: int, own_tilde: np.ndarray, neighbor_tilde: dict, neighbors) -> np.ndarray:
-    """Sum over neighbors of (own broadcast - neighbor broadcast), accumulated
-    in ascending neighbor order for bitwise reproducibility."""
-    acc = np.zeros_like(own_tilde)
-    for j in neighbors:
-        received = neighbor_tilde.get(j)
-        if received is None:
-            raise ProtocolError(f"agent {agent} is missing the broadcast of neighbor {j}")
-        acc += own_tilde - received
-    return acc
+def primal_step(objective: CompositeObjective, x, z, lap, x_tilde, eta, beta: float):
+    """Prox-linear step of every agent on the linearized augmented
+    Lagrangian: row i is prox_i(1/eta_i, x_i - (z_i + grad_i(x_i) +
+    beta (L x_tilde)_i) / eta_i)."""
+    v = x - (z + objective.gradient_stack(x) + beta * (lap @ x_tilde)) / eta[:, None]
+    return objective.prox_stack(1.0 / eta, v)
 
 
-def primal_step_composite(x, z, grad, disagreement, eta_i: float, beta: float, nonsmooth_part):
-    v = x - (z + grad + beta * disagreement) / eta_i
-    return nonsmooth_part.prox(1.0 / eta_i, v)
+def dual_step(z, lap, x_tilde, beta: float):
+    """Dual ascent of every agent on the post-broadcast copies."""
+    return z + beta * (lap @ x_tilde)
 
 
-def primal_step_smooth(x, z, grad, disagreement, eta_i: float, beta: float):
-    return x - (z + grad + beta * disagreement) / eta_i
+def _check_finite(arr: np.ndarray, round_: int):
+    bad = ~np.all(np.isfinite(arr), axis=1)
+    if np.any(bad):
+        raise DivergenceError(int(np.argmax(bad)), round_)
 
 
-def primal_step_nonsmooth(x, z, disagreement, eta_i: float, beta: float, nonsmooth_part):
-    v = x - (z + beta * disagreement) / eta_i
-    return nonsmooth_part.prox(1.0 / eta_i, v)
-
-
-def dual_step(agent: int, z, own_tilde, neighbor_tilde: dict, neighbors, beta: float):
-    """Dual ascent on the post-broadcast copies. Requires one fresh entry per
-    neighbor; incomplete delivery is a protocol violation."""
-    missing = [j for j in neighbors if j not in neighbor_tilde]
-    if missing:
-        raise ProtocolError(f"agent {agent} has no broadcast from neighbors {missing}")
-    acc = laplacian_disagreement(agent, own_tilde, neighbor_tilde, neighbors)
-    return z + beta * acc
-
-
-def run_round(state: NetworkState, config: RunConfig, order=None) -> NetworkState:
-    """Advance the whole network by one synchronous round.
-
-    The result is independent of the per-phase processing `order` (it exists
-    so that tests can verify exactly that).
-    """
-    g = config.graph
-    n = g.n
-    k_next = state.round + 1
-    if order is None:
-        order = range(n)
-    agents = state.agents
-
-    # Phase A: primal updates from round-k data only. Overflow is not an
-    # error here; it surfaces as a divergence diagnostic below.
-    x_new = [None] * n
+def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
+    """Advance the whole network by one synchronous round: every agent's
+    primal step from round-k data, every agent's trigger decision and
+    broadcast, then every agent's dual step on the delivered copies."""
+    k = state.round + 1
+    lap, eta, beta = laplacian(config.graph), config.eta, config.beta
+    # Overflow is not an error here; it surfaces as a divergence below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in order:
-            ag = agents[i]
-            disagreement = laplacian_disagreement(i, ag.x_tilde, ag.neighbor_tilde, g.neighbors[i])
-            if config.variant == "composite":
-                grad = config.objective.smooth[i].gradient(ag.x)
-                nxt = primal_step_composite(
-                    ag.x, ag.z, grad, disagreement, config.eta[i], config.beta,
-                    config.objective.nonsmooth[i],
-                )
-            elif config.variant == "smooth":
-                grad = config.objective.smooth[i].gradient(ag.x)
-                nxt = primal_step_smooth(ag.x, ag.z, grad, disagreement, config.eta[i], config.beta)
-            else:
-                nxt = primal_step_nonsmooth(
-                    ag.x, ag.z, disagreement, config.eta[i], config.beta,
-                    config.objective.nonsmooth[i],
-                )
-            if not np.all(np.isfinite(nxt)):
-                raise DivergenceError(i, k_next)
-            x_new[i] = _frozen(nxt)
+        x = primal_step(config.objective, state.x, state.z, lap, state.x_tilde, eta, beta)
+    _check_finite(x, k)
 
-    # Phase B: trigger checks and broadcasts.
-    tilde_new = [None] * n
-    broadcasters = []
-    periodic = config.schedule.kind == trig.EVERY_N
-    for i in order:
-        if periodic:
-            fire = k_next % config.schedule.period == 0
-        else:
-            e = trig.threshold(config.schedule, i, k_next)
-            fire = trig.should_broadcast(x_new[i], agents[i].x_tilde, e)
-        if fire:
-            tilde_new[i] = x_new[i]
-            broadcasters.append(i)
-        else:
-            tilde_new[i] = agents[i].x_tilde
+    schedule = config.schedule
+    if schedule.kind == trig.EVERY_N:
+        fired = np.full(config.n, k % schedule.period == 0)
+    else:
+        fired = trig.row_norms(x - state.x_tilde) > trig.thresholds(schedule, config.n, k)
+    x_tilde = np.where(fired[:, None], x, state.x_tilde)
 
-    # Barrier: every broadcast is delivered before any dual update runs.
-    delivered = [{j: tilde_new[j] for j in g.neighbors[i]} for i in range(n)]
-
-    # Phase C: dual updates on the fully synchronized copies.
-    z_new = [None] * n
-    for i in order:
-        nxt = dual_step(i, agents[i].z, tilde_new[i], delivered[i], g.neighbors[i], config.beta)
-        if not np.all(np.isfinite(nxt)):
-            raise DivergenceError(i, k_next)
-        z_new[i] = _frozen(nxt)
-
-    fired = set(broadcasters)
-    new_agents = tuple(
-        AgentState(
-            x=x_new[i],
-            z=z_new[i],
-            x_tilde=tilde_new[i],
-            neighbor_tilde=delivered[i],
-            broadcast_count=agents[i].broadcast_count + (1 if i in fired else 0),
-        )
-        for i in range(n)
-    )
-    events = state.events + ((k_next, tuple(sorted(broadcasters))),)
-    return NetworkState(agents=new_agents, round=k_next, events=events)
+    z = dual_step(state.z, lap, x_tilde, beta)
+    _check_finite(z, k)
+    return NetworkState(x=_frozen(x), z=_frozen(z), x_tilde=_frozen(x_tilde),
+                        broadcast_count=_frozen(state.broadcast_count + fired),
+                        fired=_frozen(fired), round=k)
 
 
 def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective,
                      lap: np.ndarray, eta: np.ndarray, beta: float):
     """Stacked always-broadcast iteration: a proximal step on the linearized
     augmented Lagrangian followed by dual ascent. Reference path for the
-    event-triggered engine under an all-zero schedule."""
+    event-triggered engine under an all-zero schedule; it takes gradients
+    and proxes from the per-agent parts, apart from the objective's stacks."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
-    grad = objective.gradient_stack(x)
+    grad = np.stack([f.gradient(x[i]) for i, f in enumerate(objective.smooth)])
     v = x - (z + grad + beta * (lap @ x)) / eta[:, None]
     x_new = np.empty_like(v)
     for i in range(objective.n):
@@ -436,9 +351,8 @@ def run(config: RunConfig, instance_digest: Optional[str] = None) -> RunTrace:
 
     state = initial_state(config)
     ergodic = np.zeros((n, m))
-    flags0 = np.ones(n, dtype=np.uint8)
     trace.records.append(
-        TraceRecord(k=0, broadcasts=flags0, x=state_primal(state), z=state_dual(state),
+        TraceRecord(k=0, broadcasts=state.fired.astype(np.uint8), x=state.x, z=state.z,
                     ergodic_sum=ergodic.copy())
     )
     if event_rule:
@@ -452,29 +366,23 @@ def run(config: RunConfig, instance_digest: Optional[str] = None) -> RunTrace:
             trace.diverged_round = err.round
             trace.diverged_agent = err.agent
             break
-        x_k = state_primal(state)
-        z_k = state_dual(state)
+        x_k, z_k = state.x, state.z
         ergodic += x_k
 
         if event_rule:
-            for i in range(n):
-                dev = float(np.linalg.norm(state.agents[i].x - state.agents[i].x_tilde))
-                slack = dev - trig.threshold(config.schedule, i, k)
-                if slack > trace.max_trigger_slack:
-                    trace.max_trigger_slack = slack
+            slack = trig.row_norms(x_k - state.x_tilde) - trig.thresholds(config.schedule, n, k)
+            trace.max_trigger_slack = max(trace.max_trigger_slack, float(np.max(slack)))
         z_scale = float(np.max(np.abs(z_k))) if z_k.size else 0.0
         if z_scale > 0.0:
             imbalance = float(np.max(np.abs(z_k.sum(axis=0)))) / (n * z_scale)
             if imbalance > trace.max_dual_imbalance:
                 trace.max_dual_imbalance = imbalance
 
-        fired = np.zeros(n, dtype=np.uint8)
-        fired[list(state.events[-1][1])] = 1
         store = (k % stride == 0) or (k == config.rounds)
         trace.records.append(
             TraceRecord(
                 k=k,
-                broadcasts=fired,
+                broadcasts=state.fired.astype(np.uint8),
                 x=x_k if store else None,
                 z=z_k if store else None,
                 ergodic_sum=ergodic.copy() if store else None,

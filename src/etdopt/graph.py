@@ -9,6 +9,7 @@ primal-dual stepsizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +64,14 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def laplacian_matrix(self) -> np.ndarray:
+        """See `laplacian`."""
+        a = adjacency(self)
+        lap = (np.diag(np.asarray(self.degrees, dtype=np.int64)) - a).astype(np.float64)
+        lap.setflags(write=False)
+        return lap
 
 
 def generate_random_graph(n: int, r: float, seed: int, max_attempts: int = 1000) -> Graph:
@@ -125,31 +134,54 @@ def adjacency(g: Graph) -> np.ndarray:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Degree matrix minus adjacency. Built in integers, then cast, so each
-    row sums to zero exactly."""
-    a = adjacency(g)
-    lap = np.diag(np.asarray(g.degrees, dtype=np.int64)) - a
-    return lap.astype(np.float64)
+    row sums to zero exactly. Built once per graph and shared, so the array
+    is read-only."""
+    return g.laplacian_matrix
 
 
-def laplacian_quadratic_norm(lap: np.ndarray, v: np.ndarray) -> float:
-    """sqrt(sum over coordinates of v^T lap v); the square-root factor of the
-    Laplacian is never formed explicitly.
+def laplacian_norm(lap: np.ndarray):
+    """The map v -> sqrt(sum over coordinates of v^T lap v), with lap's
+    structure read once; the square-root factor of lap is never formed.
 
     For an exact Laplacian (zero row sums, nonpositive off-diagonal) the
     quadratic form is expanded over edge differences, which is exact at
     consensus points where the matrix-product route leaves sqrt(eps) noise.
     """
-    v = np.asarray(v, dtype=np.float64)
-    mat = v[:, None] if v.ndim == 1 else v
+    lap = np.asarray(lap, dtype=np.float64)
     n = lap.shape[0]
     off = lap - np.diag(np.diag(lap))
-    if np.all(lap @ np.ones(n) == 0.0) and np.all(off <= 0.0):
+    exact = bool(np.all(lap @ np.ones(n) == 0.0) and np.all(off <= 0.0))
+    if exact:
         ii, jj = np.nonzero(np.triu(off, 1) != 0.0)
-        diff = mat[ii] - mat[jj]
-        quad = float(np.sum((-lap[ii, jj]) * np.sum(diff * diff, axis=1)))
-    else:
-        quad = float(np.sum(mat * (lap @ mat)))
-    return float(np.sqrt(max(quad, 0.0)))
+        weights = -lap[ii, jj]
+        # Edge-difference buffers, kept between calls: fresh arrays of this
+        # size cost more in page faults than the arithmetic on them.
+        buffers = {}
+
+    def norm(v: np.ndarray) -> float:
+        v = np.asarray(v, dtype=np.float64)
+        mat = v[:, None] if v.ndim == 1 else v
+        if exact:
+            shape = (ii.size, mat.shape[1])
+            if shape not in buffers:
+                buffers.clear()
+                buffers[shape] = (np.empty(shape), np.empty(shape))
+            diff, other = buffers[shape]
+            np.take(mat, ii, axis=0, out=diff)
+            np.take(mat, jj, axis=0, out=other)
+            np.subtract(diff, other, out=diff)
+            quad = float(weights @ np.einsum("em,em->e", diff, diff))
+        else:
+            quad = float(np.sum(mat * (lap @ mat)))
+        return float(np.sqrt(max(quad, 0.0)))
+
+    return norm
+
+
+def laplacian_quadratic_norm(lap: np.ndarray, v: np.ndarray) -> float:
+    """sqrt(sum over coordinates of v^T lap v); see `laplacian_norm`, which
+    serves many vectors on one matrix."""
+    return laplacian_norm(lap)(v)
 
 
 def _check_symmetric(mat: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import trigger as trig
 from .engine import RunConfig, RunTrace
-from .graph import check_stepsize_composite, jacobi_eigh, laplacian, laplacian_quadratic_norm
+from .graph import check_stepsize_composite, jacobi_eigh, laplacian, laplacian_norm
 from .objective import CompositeObjective
 from .reference import ReferenceSolution, dual_from_reference
 
@@ -35,7 +35,7 @@ def ergodic_average(trace: RunTrace, t: int) -> np.ndarray:
 
 def consensus_error(lap: np.ndarray, v: np.ndarray) -> float:
     """Laplacian seminorm sqrt(sum_coord v^T L v); zero iff all rows agree."""
-    return laplacian_quadratic_norm(lap, np.asarray(v, dtype=np.float64))
+    return laplacian_norm(lap)(v)
 
 
 def signed_objective_gap(objective: CompositeObjective, v: np.ndarray, f_star: float) -> float:
@@ -64,22 +64,28 @@ class ErgodicSeries:
     point at round 0, of the ergodic average from round 1 on."""
 
     rounds: np.ndarray           # stored rounds, ascending, 0 first
-    objective_gap: np.ndarray    # |F(point) - F*|
+    signed_gap: np.ndarray       # F(point) - F*
     consensus_error: np.ndarray  # Laplacian seminorm of the point
+
+    @property
+    def objective_gap(self) -> np.ndarray:
+        """|F(point) - F*|."""
+        return np.abs(self.signed_gap)
 
 
 def ergodic_series(trace: RunTrace, objective: CompositeObjective, lap: np.ndarray,
                    f_star: float) -> ErgodicSeries:
-    """Objective gap and consensus error at every stored round, computed once
-    for every consumer of the trace."""
+    """Signed objective gap and consensus error at every stored round,
+    computed once for every consumer of the trace."""
     rounds = np.array(trace.stored_rounds(), dtype=np.int64)
+    norm = laplacian_norm(lap)
     gap = np.empty(rounds.shape)
     cons = np.empty(rounds.shape)
     for idx, k in enumerate(rounds.tolist()):
         point = trace.x_at(0) if k == 0 else ergodic_average(trace, k)
-        gap[idx] = objective_gap(objective, point, f_star)
-        cons[idx] = consensus_error(lap, point)
-    return ErgodicSeries(rounds=rounds, objective_gap=gap, consensus_error=cons)
+        gap[idx] = signed_objective_gap(objective, point, f_star)
+        cons[idx] = norm(point)
+    return ErgodicSeries(rounds=rounds, signed_gap=gap, consensus_error=cons)
 
 
 @dataclass
@@ -203,9 +209,11 @@ def ergodic_rate_certificate(
     trace: RunTrace,
     reference: ReferenceSolution,
     dual_radius: Optional[float] = None,
+    series: Optional[ErgodicSeries] = None,
 ) -> ErgodicRateCertificate:
     """Evaluate the ergodic error bounds at every stored round and compare
-    them with the measured trajectory.
+    them with the measured trajectory, read from the trace's `series`
+    (computed here when the caller has none).
 
     Requires: a summable schedule, zero initial duals, a certified
     reference, a positive stepsize margin, strictly positive smooth
@@ -257,7 +265,10 @@ def ergodic_rate_certificate(
     p_mat = np.diag(config.eta) - config.beta * lap
     start_distance = float(np.sqrt(max(np.sum(diff0 * (p_mat @ diff0)), 0.0)))
 
-    t_values = np.array([k for k in trace.stored_rounds() if k >= 1], dtype=np.int64)
+    if series is None:
+        series = ergodic_series(trace, obj, lap, reference.f_star)
+    after_start = series.rounds >= 1
+    t_values = series.rounds[after_start]
     if t_values.size == 0:
         raise CertificateError("trace holds no post-start snapshots to certify")
 
@@ -277,13 +288,6 @@ def ergodic_rate_certificate(
     objective_upper = numerator / (2.0 * t_values)
     objective_lower = -dual_norm * numerator / (2.0 * t_values * margin)
 
-    consensus_measured = np.empty(t_values.shape)
-    objective_measured = np.empty(t_values.shape)
-    for idx, t in enumerate(t_values):
-        avg = ergodic_average(trace, int(t))
-        consensus_measured[idx] = consensus_error(lap, avg)
-        objective_measured[idx] = signed_objective_gap(obj, avg, reference.f_star)
-
     return ErgodicRateCertificate(
         trigger_gain=trigger_gain,
         residual_gain=residual_gain,
@@ -294,8 +298,8 @@ def ergodic_rate_certificate(
         t_values=t_values,
         error_budget=budget,
         consensus_bound=consensus_bound,
-        consensus_measured=consensus_measured,
+        consensus_measured=series.consensus_error[after_start],
         objective_upper=objective_upper,
         objective_lower=objective_lower,
-        objective_measured=objective_measured,
+        objective_measured=series.signed_gap[after_start],
     )

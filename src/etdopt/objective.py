@@ -1,10 +1,12 @@
-"""Per-agent composite objectives.
+"""Per-agent composite objectives, evaluated on stacked arrays.
 
 Each agent holds a smooth loss (value, gradient, curvature constants) plus a
-proximable nonsmooth regularizer. Instance generators build the benchmark
-problems: sparse least squares, logistic regression, and a separable
-quadratic with a closed-form minimizer. Instances serialize to a plain text
-format that regenerates bit-exactly from (kind, parameters, seed).
+proximable nonsmooth regularizer; `CompositeObjective` groups them into
+stacked arrays, so that the whole network is evaluated at once. Instance
+generators build the benchmark problems: sparse least squares, logistic
+regression, and a separable quadratic with a closed-form minimizer.
+Instances serialize to a plain text format that regenerates bit-exactly from
+(kind, parameters, seed).
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ FORMAT_MAGIC = "etdopt-instance"
 FORMAT_VERSION = 1
 
 
-def soft_threshold(y: np.ndarray, t: float) -> np.ndarray:
-    """Component-wise sign(y) * max(|y| - t, 0)."""
-    if t < 0.0:
+def soft_threshold(y: np.ndarray, t) -> np.ndarray:
+    """Component-wise sign(y) * max(|y| - t, 0); t may be an array that
+    broadcasts against y."""
+    if np.any(np.asarray(t) < 0.0):
         raise ValueError(f"shrinkage amount must be >= 0, got {t}")
     y = np.asarray(y, dtype=np.float64)
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
@@ -174,9 +177,97 @@ class ScaledL1:
         return soft_threshold(y, step * self.tau)
 
 
+class _LeastSquaresStack:
+    """k least-squares losses with one (p, m) shape: A (k, p, m), b (k, p)."""
+
+    def __init__(self, parts):
+        self.a = np.stack([f.a for f in parts])
+        self.b = np.stack([f.b for f in parts])
+
+    def _residual(self, x):
+        return np.einsum("kpm,km->kp", self.a, x) - self.b
+
+    def gradient(self, x):
+        return np.einsum("kpm,kp->km", self.a, self._residual(x))
+
+    def value(self, x) -> float:
+        r = self._residual(x)
+        return 0.5 * float(np.sum(r * r))
+
+    def pooled(self) -> LeastSquaresLoss:
+        """One loss over all k agents' rows."""
+        return LeastSquaresLoss(self.a.reshape(-1, self.a.shape[-1]), self.b.reshape(-1))
+
+
+class _LogisticStack:
+    """k logistic losses with one (s, m) shape: features (k, s, m), labels
+    (k, s), ridge (k,)."""
+
+    def __init__(self, parts):
+        self.features = np.stack([f.features for f in parts])
+        self.labels = np.stack([f.labels for f in parts])
+        self.ridge = np.array([f.ridge for f in parts])
+
+    def _margins(self, x):
+        return self.labels * np.einsum("ksm,km->ks", self.features, x)
+
+    def gradient(self, x):
+        coeff = -self.labels * _sigmoid(-self._margins(x))
+        return np.einsum("ksm,ks->km", self.features, coeff) + self.ridge[:, None] * x
+
+    def value(self, x) -> float:
+        val = float(np.sum(np.logaddexp(0.0, -self._margins(x))))
+        return val + 0.5 * float(self.ridge @ np.sum(x * x, axis=1))
+
+    def pooled(self) -> LogisticLoss:
+        """One loss over all k agents' samples, with the ridges summed."""
+        m = self.features.shape[-1]
+        return LogisticLoss(self.features.reshape(-1, m), self.labels.reshape(-1),
+                            ridge=float(np.sum(self.ridge)))
+
+
+class _QuadraticStack:
+    """k diagonal quadratics: diag (k, m), center (k, m)."""
+
+    def __init__(self, parts):
+        self.diag = np.stack([f.diag for f in parts])
+        self.center = np.stack([f.center for f in parts])
+
+    def gradient(self, x):
+        return self.diag * (x - self.center)
+
+    def value(self, x) -> float:
+        d = x - self.center
+        return 0.5 * float(np.sum(self.diag * d * d))
+
+    def pooled(self) -> DiagonalQuadraticLoss:
+        """The sum of the k quadratics, up to a constant."""
+        total = self.diag.sum(axis=0)
+        return DiagonalQuadraticLoss(total, np.sum(self.diag * self.center, axis=0) / total)
+
+
+# Smooth-part classes with a stacked form, each with the attribute whose
+# shape must agree within one stack.
+_STACKS = {
+    LeastSquaresLoss: (_LeastSquaresStack, "a"),
+    LogisticLoss: (_LogisticStack, "features"),
+    DiagonalQuadraticLoss: (_QuadraticStack, "diag"),
+}
+
+
 @dataclass
 class CompositeObjective:
-    """n agent-indexed (smooth, nonsmooth) pairs sharing one dimension."""
+    """n agent-indexed (smooth, nonsmooth) pairs sharing one dimension.
+
+    The per-agent parts stay readable in `smooth` and `nonsmooth`, but the
+    stacked methods never loop over agents: at construction the smooth parts
+    are grouped once by loss class and array shape into `stacks`, pairs of
+    (agent rows, stacked arrays), with zero parts dropped; the regularizers
+    become one per-agent l1 weight vector `tau`, zero where the regularizer
+    is zero. Gradients and values of an (n, m) stack are then a few einsums
+    per group, and the prox a single soft threshold (the identity when every
+    weight is zero).
+    """
 
     smooth: tuple
     nonsmooth: tuple
@@ -190,6 +281,21 @@ class CompositeObjective:
         dims = {part.m for part in self.smooth} | {part.m for part in self.nonsmooth}
         if len(dims) != 1:
             raise ValueError(f"all parts must share one dimension, got {sorted(dims)}")
+        groups: dict = {}
+        for i, f in enumerate(self.smooth):
+            if f.is_zero:
+                continue
+            if type(f) not in _STACKS:
+                raise ValueError(f"no stacked form for smooth part {type(f).__name__}")
+            groups.setdefault((type(f), getattr(f, _STACKS[type(f)][1]).shape), []).append(i)
+        self.stacks = [
+            (np.array(rows), _STACKS[cls][0]([self.smooth[i] for i in rows]))
+            for (cls, _), rows in groups.items()
+        ]
+        for g in self.nonsmooth:
+            if not isinstance(g, (ZeroNonsmooth, ScaledL1)):
+                raise ValueError(f"no stacked form for regularizer {type(g).__name__}")
+        self.tau = np.array([0.0 if g.is_zero else g.tau for g in self.nonsmooth])
 
     @property
     def n(self) -> int:
@@ -222,17 +328,24 @@ class CompositeObjective:
     def stacked_value(self, x: np.ndarray) -> float:
         """Total objective with agent i evaluated at row i of x."""
         x = np.asarray(x, dtype=np.float64)
-        return sum(
-            self.smooth[i].value(x[i]) + self.nonsmooth[i].value(x[i])
-            for i in range(self.n)
-        )
+        total = float(self.tau @ np.sum(np.abs(x), axis=1))
+        for rows, stack in self.stacks:
+            total += stack.value(x[rows])
+        return total
 
     def gradient_stack(self, x: np.ndarray) -> np.ndarray:
+        """Row i: gradient of agent i's smooth part at row i of x."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty((self.n, self.m))
-        for i in range(self.n):
-            out[i] = self.smooth[i].gradient(x[i])
+        out = np.zeros((self.n, self.m))
+        for rows, stack in self.stacks:
+            out[rows] = stack.gradient(x[rows])
         return out
+
+    def prox_stack(self, steps: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Row i: prox of agent i's regularizer with step steps[i] at v[i]."""
+        if not np.any(self.tau):
+            return v
+        return soft_threshold(v, (np.asarray(steps) * self.tau)[:, None])
 
 
 def make_lasso_instance(n: int, p: int, m: int, tau: float, seed: int):

@@ -4,7 +4,7 @@ Provides the minimizer and optimal value used by the metrics as a baseline,
 a first-order optimality (KKT) residual for network states, and a small text
 format for caching solves. The solve works on the summed objective, with the
 per-agent losses pooled into one loss per loss class (stacked rows or
-samples) and the per-agent regularizers into one prox.
+samples) and the per-agent l1 weights into one.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from .graph import laplacian_quadratic_norm
 from .objective import (
     CompositeObjective,
     DiagonalQuadraticLoss,
-    LeastSquaresLoss,
     LineCursor,
-    LogisticLoss,
-    ScaledL1,
     quadratic_minimizer,
     soft_threshold,
 )
@@ -39,47 +36,15 @@ class ReferenceSolution:
     tol: float
 
 
-class _CombinedProx:
-    """Prox of the sum of the per-agent regularizers; supported when they are
-    all zero or all l1 (the sum is then one l1 term with the taus added)."""
-
-    def __init__(self, objective: CompositeObjective):
-        if all(g.is_zero for g in objective.nonsmooth):
-            self.total_tau = 0.0
-        elif all(isinstance(g, ScaledL1) for g in objective.nonsmooth):
-            self.total_tau = float(sum(g.tau for g in objective.nonsmooth))
-        else:
-            raise ValueError("centralized solve supports only all-zero or all-l1 regularizers")
-
-    def __call__(self, step: float, y: np.ndarray) -> np.ndarray:
-        if self.total_tau == 0.0:
-            return np.array(y, copy=True)
-        return soft_threshold(y, step * self.total_tau)
-
-
 class _PooledSmooth:
     """Gradient of the sum of the per-agent smooth parts, with one pooled
-    loss per loss class: least squares over the stacked rows, logistic over
-    the stacked samples with the ridges summed. Zero parts are dropped; a
-    class without a pooled form keeps its per-agent terms."""
+    loss per stack of the objective (see `CompositeObjective`): least
+    squares over the stacked rows, logistic over the stacked samples with
+    the ridges summed, one diagonal quadratic per stack of quadratics."""
 
     def __init__(self, objective: CompositeObjective):
         self.m = objective.m
-        lsq = [f for f in objective.smooth if isinstance(f, LeastSquaresLoss)]
-        logistic = [f for f in objective.smooth if isinstance(f, LogisticLoss)]
-        self.parts = [
-            f for f in objective.smooth
-            if not (f.is_zero or isinstance(f, (LeastSquaresLoss, LogisticLoss)))
-        ]
-        if lsq:
-            self.parts.append(LeastSquaresLoss(
-                np.concatenate([f.a for f in lsq]), np.concatenate([f.b for f in lsq])))
-        if logistic:
-            self.parts.append(LogisticLoss(
-                np.concatenate([f.features for f in logistic]),
-                np.concatenate([f.labels for f in logistic]),
-                ridge=float(sum(f.ridge for f in logistic)),
-            ))
+        self.parts = [stack.pooled() for _, stack in objective.stacks]
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         g = np.zeros(self.m)
@@ -121,11 +86,14 @@ def solve_centralized(
 
     lip = float(np.sum(objective.lipschitz()))
     step = 1.0 / lip if lip > 0.0 else 1.0
-    prox = _CombinedProx(objective)
+    # The regularizers sum to one l1 term with the weights added.
+    total_tau = float(np.sum(objective.tau))
 
     residual = np.inf
     for it in range(max_iter + 1):
-        theta_next = prox(step, theta - step * smooth.gradient(theta))
+        theta_next = theta - step * smooth.gradient(theta)
+        if total_tau > 0.0:
+            theta_next = soft_threshold(theta_next, step * total_tau)
         residual = float(np.linalg.norm(theta - theta_next)) / step
         if residual <= tol:
             return ReferenceSolution(
@@ -155,18 +123,8 @@ def dual_from_reference(objective: CompositeObjective, x_star: np.ndarray) -> np
     regularizer subgradient selected by the centralized optimality
     condition.
     """
-    grads = np.stack([f.gradient(x_star) for f in objective.smooth])
+    grads = objective.gradient_stack(np.tile(x_star, (objective.n, 1)))
     return grads.mean(axis=0) - grads
-
-
-def _l1_subgradient_distance_sq(x: np.ndarray, target: np.ndarray, tau: float) -> float:
-    """Squared distance from `target` to tau * subdifferential of ||.||_1 at x,
-    via exact per-coordinate interval projection."""
-    on_zero = x == 0.0
-    d_zero = np.maximum(np.abs(target) - tau, 0.0)
-    d_active = target - tau * np.sign(x)
-    d = np.where(on_zero, d_zero, d_active)
-    return float(d @ d)
 
 
 def kkt_residual(x: np.ndarray, z: np.ndarray, objective: CompositeObjective,
@@ -178,18 +136,12 @@ def kkt_residual(x: np.ndarray, z: np.ndarray, objective: CompositeObjective,
     of x. Zero exactly at an optimal pair.
     """
     x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    stationarity_sq = 0.0
-    for i in range(objective.n):
-        target = -z[i] - objective.smooth[i].gradient(x[i])
-        g = objective.nonsmooth[i]
-        if g.is_zero:
-            stationarity_sq += float(target @ target)
-        elif isinstance(g, ScaledL1):
-            stationarity_sq += _l1_subgradient_distance_sq(x[i], target, g.tau)
-        else:
-            raise ValueError("stationarity distance implemented for zero and l1 regularizers")
-    return float(np.sqrt(stationarity_sq)) + laplacian_quadratic_norm(lap, x)
+    target = -np.asarray(z, dtype=np.float64) - objective.gradient_stack(x)
+    # Distance to tau * subdifferential of ||.||_1 at x, by exact projection
+    # per coordinate; a zero regularizer has tau = 0.
+    tau = objective.tau[:, None]
+    d = np.where(x == 0.0, np.maximum(np.abs(target) - tau, 0.0), target - tau * np.sign(x))
+    return float(np.sqrt(np.sum(d * d))) + laplacian_quadratic_norm(lap, x)
 
 
 def reference_to_text(sol: ReferenceSolution, instance_digest: str) -> str:

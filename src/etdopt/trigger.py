@@ -145,15 +145,44 @@ def max_threshold_envelope(schedule: TriggerSchedule, n: int, k: int) -> float:
     return max(threshold_envelope(schedule, i, k) for i in range(n))
 
 
+def thresholds(schedule: TriggerSchedule, n: int, k: int) -> np.ndarray:
+    """`threshold` of each of n agents at round k >= 1, for an event rule."""
+    if not schedule.overrides:
+        return np.full(n, threshold(schedule, 0, k))
+    return np.array([threshold(schedule, i, k) for i in range(n)])
+
+
+# Outside these bounds on a row's largest entry, squaring the row's entries
+# underflows (or loses precision) or overflows, so the row is divided by its
+# largest entry first.
+_PLAIN_MIN, _PLAIN_MAX = 1e-150, 1e150
+
+
+def row_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array.
+
+    Rows whose largest magnitude s lies in [1e-150, 1e150] take the plain
+    `np.linalg.norm` value. Any other nonzero row is measured as
+    s * ||row / s||, since squaring its entries would go subnormal, to zero
+    or to infinity. A row is then zero exactly when its norm is.
+    """
+    diff = np.asarray(diff, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(diff, axis=1)
+    scale = np.max(np.abs(diff), axis=1, initial=0.0)
+    rescale = (scale > 0.0) & ((scale < _PLAIN_MIN) | (scale > _PLAIN_MAX))
+    if np.any(rescale):
+        s = scale[rescale]
+        norms[rescale] = s * np.linalg.norm(diff[rescale] / s[:, None], axis=1)
+    return norms
+
+
 def should_broadcast(x_new: np.ndarray, x_tilde_prev: np.ndarray, e: float) -> bool:
     """True iff the Euclidean deviation strictly exceeds the threshold."""
     if e < 0.0:
         raise ValueError(f"threshold must be >= 0, got {e}")
-    diff = np.asarray(x_new) - np.asarray(x_tilde_prev)
-    if e == 0.0:
-        # exact: any movement at all fires (norm squaring can underflow)
-        return bool(np.any(diff != 0.0))
-    return bool(np.linalg.norm(diff) > e)
+    diff = np.asarray(x_new, dtype=np.float64) - np.asarray(x_tilde_prev, dtype=np.float64)
+    return bool(row_norms(diff.reshape(1, -1))[0] > e)
 
 
 def _parse_value(token: str, position: str) -> float:

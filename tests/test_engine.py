@@ -13,15 +13,11 @@ from conftest import (
 from etdopt.engine import (
     ConfigError,
     DivergenceError,
-    ProtocolError,
     RunConfig,
     dual_step,
     initial_state,
-    laplacian_disagreement,
     matrix_lalm_step,
-    primal_step_composite,
-    primal_step_nonsmooth,
-    primal_step_smooth,
+    primal_step,
     run,
     run_round,
     state_broadcast,
@@ -32,15 +28,17 @@ from etdopt.engine import (
 from etdopt.graph import Graph, laplacian
 from etdopt.objective import (
     CompositeObjective,
+    DiagonalQuadraticLoss,
     LeastSquaresLoss,
     ScaledL1,
     ZeroNonsmooth,
+    ZeroSmooth,
     make_quadratic_instance,
     quadratic_minimizer,
     soft_threshold,
 )
 from etdopt.reference import dual_from_reference, solve_centralized
-from etdopt.trigger import every_n, parse_schedule, polynomial, threshold
+from etdopt.trigger import every_n, parse_schedule, polynomial, row_norms, threshold
 
 
 def k2_graph():
@@ -51,103 +49,117 @@ def p3_graph():
     return Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
+ISOLATED = np.zeros((1, 1))  # Laplacian of a single agent
+K2_LAP = laplacian(k2_graph())
+P3_LAP = laplacian(p3_graph())
+
+
+def agents(smooth, nonsmooth=None, m=1):
+    """Objective of len(smooth) agents; zero regularizers unless given."""
+    if nonsmooth is None:
+        nonsmooth = [ZeroNonsmooth(m) for _ in smooth]
+    return CompositeObjective(smooth, nonsmooth)
+
+
+def rows(*values):
+    return np.array(values, dtype=np.float64).reshape(len(values), -1)
+
+
 class TestLaplacianDisagreement:
+    """beta * L x_tilde, read off the dual step from z = 0 with beta = 1."""
+
     def test_consensus_gives_zero(self):
-        tilde = np.array([1.5, 1.5])
-        nt = {1: np.array([1.5, 1.5])}
-        out = laplacian_disagreement(0, tilde, nt, (1,))
-        assert np.array_equal(out, np.zeros(2))
+        tilde = np.array([[1.5, 1.5], [1.5, 1.5]])
+        out = dual_step(np.zeros((2, 2)), K2_LAP, tilde, beta=1.0)
+        assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_pair_difference(self):
-        out = laplacian_disagreement(0, np.array([1.0]), {1: np.array([0.0])}, (1,))
-        assert out == pytest.approx([1.0])
+        out = dual_step(np.zeros((2, 1)), K2_LAP, rows(1.0, 0.0), beta=1.0)
+        assert out[0] == pytest.approx([1.0])
 
     def test_path_middle_node(self):
-        nt = {0: np.array([1.0]), 2: np.array([1.0])}
-        out = laplacian_disagreement(1, np.array([0.0]), nt, (0, 2))
-        assert out == pytest.approx([-2.0])
-
-    def test_missing_neighbor_raises(self):
-        with pytest.raises(ProtocolError):
-            laplacian_disagreement(0, np.array([1.0]), {}, (1,))
+        # row 1 collects (own copy - neighbor copy) over both neighbors
+        out = dual_step(np.zeros((3, 1)), P3_LAP, rows(1.0, 0.0, 1.0), beta=1.0)
+        assert out[1] == pytest.approx([-2.0])
 
 
 class TestPrimalSteps:
     def test_composite_isolated_shrinkage(self):
         # f = 0.5 (x-3)^2 at x=3 has zero gradient; prox of |.| moves 3 to 2
-        g_part = ScaledL1(1.0, 1)
-        out = primal_step_composite(
-            np.array([3.0]), np.zeros(1), np.zeros(1), np.zeros(1), 1.0, 0.5, g_part
-        )
-        assert out == pytest.approx(soft_threshold(np.array([3.0]), 1.0))
+        obj = agents([LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))], [ScaledL1(1.0, 1)])
+        out = primal_step(obj, rows(3.0), rows(0.0), ISOLATED, rows(3.0), np.ones(1), 0.5)
+        assert out == pytest.approx(soft_threshold(rows(3.0), 1.0))
 
     def test_composite_with_zero_regularizer_matches_smooth(self, rng):
-        x, z = rng.standard_normal(4), rng.standard_normal(4)
-        grad, disag = rng.standard_normal(4), rng.standard_normal(4)
-        composite = primal_step_composite(x, z, grad, disag, 2.0, 0.7, ZeroNonsmooth(4))
-        smooth = primal_step_smooth(x, z, grad, disag, 2.0, 0.7)
-        assert np.array_equal(composite, smooth)
+        # a smooth objective takes the plain linearized step, bitwise
+        obj = make_quadratic_instance(n=2, m=4, seed=1)
+        x, z, tilde = (rng.standard_normal((2, 4)) for _ in range(3))
+        eta = np.array([2.0, 3.0])
+        out = primal_step(obj, x, z, K2_LAP, tilde, eta, 0.7)
+        plain = x - (z + obj.gradient_stack(x) + 0.7 * (K2_LAP @ tilde)) / eta[:, None]
+        assert np.array_equal(out, plain)
 
     def test_smooth_scalar_example(self):
         # isolated agent, f = 0.5 x^2: step from 2 with unit weight lands at 0
-        out = primal_step_smooth(np.array([2.0]), np.zeros(1), np.array([2.0]),
-                                 np.zeros(1), 1.0, 1.0)
-        assert out == pytest.approx([0.0])
+        obj = agents([DiagonalQuadraticLoss(np.ones(1), np.zeros(1))])
+        out = primal_step(obj, rows(2.0), rows(0.0), ISOLATED, rows(2.0), np.ones(1), 1.0)
+        assert out == pytest.approx(rows(0.0))
 
     def test_smooth_pair_averaging(self):
-        x = np.array([[1.0], [0.0]])
-        for i, expected in ((0, 0.5), (1, 0.5)):
-            other = 1 - i
-            disag = x[i] - x[other]
-            out = primal_step_smooth(x[i], np.zeros(1), np.zeros(1), disag, 1.0, 0.5)
-            assert out == pytest.approx([expected])
+        obj = agents([ZeroSmooth(1), ZeroSmooth(1)])
+        x = rows(1.0, 0.0)
+        out = primal_step(obj, x, np.zeros((2, 1)), K2_LAP, x, np.ones(2), 0.5)
+        assert out == pytest.approx(rows(0.5, 0.5))
 
     def test_smooth_consensus_fixed_point(self):
-        out = primal_step_smooth(np.array([1.0]), np.zeros(1), np.zeros(1),
-                                 np.zeros(1), 1.0, 0.3)
-        assert out == pytest.approx([1.0])
+        obj = agents([ZeroSmooth(1), ZeroSmooth(1)])
+        x = rows(1.0, 1.0)
+        out = primal_step(obj, x, np.zeros((2, 1)), K2_LAP, x, np.ones(2), 0.3)
+        assert out == pytest.approx(x)
 
     def test_nonsmooth_shrinkage(self):
-        out = primal_step_nonsmooth(np.array([3.0]), np.zeros(1), np.zeros(1),
-                                    1.0, 0.5, ScaledL1(1.0, 1))
-        assert out == pytest.approx([2.0])
+        obj = agents([ZeroSmooth(1)], [ScaledL1(1.0, 1)])
+        out = primal_step(obj, rows(3.0), rows(0.0), ISOLATED, rows(3.0), np.ones(1), 0.5)
+        assert out == pytest.approx(rows(2.0))
 
     def test_nonsmooth_zero_regularizer_identity(self):
-        out = primal_step_nonsmooth(np.array([1.3]), np.zeros(1), np.zeros(1),
-                                    1.0, 0.5, ZeroNonsmooth(1))
-        assert out == pytest.approx([1.3])
+        obj = agents([ZeroSmooth(1)])
+        out = primal_step(obj, rows(1.3), rows(0.0), ISOLATED, rows(1.3), np.ones(1), 0.5)
+        assert out == pytest.approx(rows(1.3))
 
     def test_nonsmooth_dual_shift(self):
         eta, delta = 2.0, 0.4
-        out = primal_step_nonsmooth(np.array([1.0]), np.array([eta * delta]),
-                                    np.zeros(1), eta, 0.5, ZeroNonsmooth(1))
-        assert out == pytest.approx([1.0 - delta])
+        obj = agents([ZeroSmooth(1)])
+        out = primal_step(obj, rows(1.0), rows(eta * delta), ISOLATED, rows(1.0),
+                          np.full(1, eta), 0.5)
+        assert out == pytest.approx(rows(1.0 - delta))
+
+    def test_mixed_regularizers_per_row(self):
+        # row 0 carries an l1 weight, row 1 none; neither row sees the other's
+        obj = agents([ZeroSmooth(1), ZeroSmooth(1)], [ScaledL1(1.0, 1), ZeroNonsmooth(1)])
+        x = rows(3.0, 3.0)
+        out = primal_step(obj, x, np.zeros((2, 1)), K2_LAP, x, np.ones(2), 0.5)
+        assert out == pytest.approx(rows(2.0, 3.0))
 
     def test_composite_fixed_point_at_optimum(self):
         obj = make_quadratic_instance(n=4, m=3, seed=5)
         sol = solve_centralized(obj)
         z_star = dual_from_reference(obj, sol.x_star)
-        for i in range(4):
-            out = primal_step_composite(
-                sol.x_star, z_star[i], obj.smooth[i].gradient(sol.x_star),
-                np.zeros(3), 2.0, 0.5, ZeroNonsmooth(3),
-            )
-            assert np.allclose(out, sol.x_star, atol=1e-12)
+        x = np.tile(sol.x_star, (4, 1))
+        lap = laplacian(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        out = primal_step(obj, x, z_star, lap, x, np.full(4, 2.0), 0.5)
+        assert np.allclose(out, x, atol=1e-12)
 
 
 class TestDualStep:
     def test_consensus_leaves_dual_unchanged(self):
-        z = np.array([0.7, -0.2])
-        tilde = np.array([1.0, 1.0])
-        out = dual_step(0, z, tilde, {1: tilde.copy()}, (1,), beta=0.8)
-        assert np.array_equal(out, z)
+        z = np.array([[0.7, -0.2], [0.1, 0.3]])
+        tilde = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert np.array_equal(dual_step(z, K2_LAP, tilde, beta=0.8), z)
 
     def test_pair_antisymmetric_update(self):
-        tilde = np.array([[1.0], [0.0]])
-        z0 = dual_step(0, np.zeros(1), tilde[0], {1: tilde[1]}, (1,), beta=1.0)
-        z1 = dual_step(1, np.zeros(1), tilde[1], {0: tilde[0]}, (0,), beta=1.0)
-        assert z0 == pytest.approx([1.0])
-        assert z1 == pytest.approx([-1.0])
+        out = dual_step(np.zeros((2, 1)), K2_LAP, rows(1.0, 0.0), beta=1.0)
+        assert out == pytest.approx(rows(1.0, -1.0))
 
     def test_dual_sum_conserved_over_run(self):
         cfg = lasso_run_config(n=6, rounds=50, schedule="poly:1:1.5")
@@ -155,10 +167,6 @@ class TestDualStep:
         for k in trace.stored_rounds():
             z = trace.z_at(k)
             assert np.max(np.abs(z.sum(axis=0))) <= 1e-9 * max(np.max(np.abs(z)), 1e-300) * 6
-
-    def test_incomplete_delivery_raises(self):
-        with pytest.raises(ProtocolError):
-            dual_step(0, np.zeros(1), np.ones(1), {}, (1,), beta=1.0)
 
 
 class TestRunRound:
@@ -177,7 +185,7 @@ class TestRunRound:
         cfg = lasso_run_config(n=5, rounds=20, schedule="zero")
         cfg.schedule = polynomial(float("inf"), 2.0)
         trace = run(cfg)
-        assert all(a.broadcast_count == 1 for a in trace.final_state.agents)
+        assert np.all(trace.final_state.broadcast_count == 1)
         assert np.array_equal(state_broadcast(trace.final_state), trace.x_at(0))
 
     def test_pure_consensus_conserves_column_sums(self):
@@ -188,16 +196,6 @@ class TestRunRound:
             drift = np.max(np.abs(trace.x_at(k).sum(axis=0) - start))
             assert drift <= 1e-12
 
-    def test_order_independence_bitwise(self):
-        cfg = lasso_run_config(n=7, rounds=0, schedule="poly:1:1.2")
-        state = initial_state(cfg)
-        rng = np.random.default_rng(9)
-        forward = run_round(state, cfg)
-        shuffled = run_round(state, cfg, order=rng.permutation(7))
-        assert np.array_equal(state_primal(forward), state_primal(shuffled))
-        assert np.array_equal(state_dual(forward), state_dual(shuffled))
-        assert forward.events == shuffled.events
-
     def test_every_n_modulus_rule(self):
         cfg = lasso_run_config(n=4, rounds=10, schedule="everyN:2")
         trace = run(cfg)
@@ -205,7 +203,14 @@ class TestRunRound:
         for k in range(11):
             expected = 1 if (k % 2 == 0) else 0
             assert np.all(flags[k] == expected)
-        assert all(a.broadcast_count == 6 for a in trace.final_state.agents)
+        assert np.all(trace.final_state.broadcast_count == 6)
+
+    @pytest.mark.parametrize("schedule", ["poly:1:1.2", "exp:1:0.9", "everyN:3", "zero"])
+    def test_round_flags_sum_to_final_counts(self, schedule):
+        trace = run(lasso_run_config(n=6, rounds=40, schedule=schedule))
+        flags = trace.broadcast_matrix()
+        assert np.array_equal(flags.sum(axis=0), trace.final_state.broadcast_count)
+        assert np.array_equal(flags[-1], trace.final_state.fired)
 
 
 class TestMatrixStep:
@@ -295,9 +300,9 @@ class TestRun:
             sched = cfg.schedule
             # spot-check directly at the final state
             final = trace.final_state
-            for i, agent in enumerate(final.agents):
-                dev = np.linalg.norm(agent.x - agent.x_tilde)
-                assert dev <= threshold(sched, i, final.round) + 0.0
+            dev = row_norms(state_primal(final) - state_broadcast(final))
+            for i in range(6):
+                assert dev[i] <= threshold(sched, i, final.round) + 0.0
 
     def test_dual_imbalance_small(self):
         cfg = lasso_run_config(n=8, rounds=150, schedule="poly:1:1.2")
@@ -317,16 +322,14 @@ class TestRun:
     def test_primal_step_prox_inclusion_along_run(self):
         cfg = lasso_run_config(n=5, rounds=30, schedule="poly:1:1.2")
         trace = run(cfg)
-        # recompute one step from round k data and verify the prox optimality
+        # recompute one step from the final state and verify the prox optimality
         state = trace.final_state
-        g = cfg.graph
+        lap = laplacian(cfg.graph)
+        grad = np.stack([f.gradient(state.x[i]) for i, f in enumerate(cfg.objective.smooth)])
+        v = state.x - (state.z + grad + cfg.beta * (lap @ state.x_tilde)) / cfg.eta[:, None]
         for i in range(5):
-            ag = state.agents[i]
-            disag = laplacian_disagreement(i, ag.x_tilde, ag.neighbor_tilde, g.neighbors[i])
-            grad = cfg.objective.smooth[i].gradient(ag.x)
-            v = ag.x - (ag.z + grad + cfg.beta * disag) / cfg.eta[i]
-            x_plus = cfg.objective.nonsmooth[i].prox(1.0 / cfg.eta[i], v)
-            s = cfg.eta[i] * (v - x_plus)
+            x_plus = cfg.objective.nonsmooth[i].prox(1.0 / cfg.eta[i], v[i])
+            s = cfg.eta[i] * (v[i] - x_plus)
             tau = cfg.objective.nonsmooth[i].tau
             for j in range(cfg.m):
                 if x_plus[j] != 0.0:

@@ -217,6 +217,13 @@ class TestLaplacianQuadraticNorm:
         explicit = np.linalg.norm(sqrt_lap @ vec)
         assert direct == pytest.approx(explicit, abs=1e-12)
 
+    def test_laplacian_built_once_per_graph(self):
+        g = generate_random_graph(12, 0.4, seed=9)
+        lap = laplacian(g)
+        assert laplacian(g) is lap
+        assert not lap.flags.writeable
+        assert np.array_equal(lap, laplacian(Graph.from_edges(12, g.edges)))
+
 
 class TestStepsizeChecks:
     def test_composite_passing_margin(self):

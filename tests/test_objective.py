@@ -254,6 +254,40 @@ class TestCompositeObjective:
         )
         assert pure.is_nonsmooth_only
 
+    def test_stacked_methods_match_per_agent_parts(self):
+        # two least-squares shapes, ridge-logistic, quadratic and zero parts,
+        # with l1 and zero regularizers interleaved
+        rng = np.random.default_rng(8)
+        m = 4
+        smooth = [
+            LeastSquaresLoss(rng.standard_normal((3, m)), rng.standard_normal(3)),
+            LogisticLoss(rng.standard_normal((5, m)), np.array([1.0, -1.0, 1.0, 1.0, -1.0]),
+                         ridge=0.3),
+            ZeroSmooth(m),
+            LeastSquaresLoss(rng.standard_normal((2, m)), rng.standard_normal(2)),
+            DiagonalQuadraticLoss(rng.uniform(1.0, 2.0, m), rng.standard_normal(m)),
+            LeastSquaresLoss(rng.standard_normal((3, m)), rng.standard_normal(3)),
+        ]
+        nonsmooth = [ScaledL1(0.2, m) if i % 2 else ZeroNonsmooth(m) for i in range(6)]
+        obj = CompositeObjective(smooth, nonsmooth)
+        assert len(obj.stacks) == 4  # lsq (3, m), logistic, lsq (2, m), quadratic
+        x = rng.standard_normal((6, m))
+        steps = rng.uniform(0.5, 2.0, 6)
+        per_agent_grad = np.stack([f.gradient(x[i]) for i, f in enumerate(smooth)])
+        per_agent_prox = np.stack([g.prox(steps[i], x[i]) for i, g in enumerate(nonsmooth)])
+        per_agent_value = sum(f.value(x[i]) + g.value(x[i])
+                              for i, (f, g) in enumerate(zip(smooth, nonsmooth)))
+        assert np.allclose(obj.gradient_stack(x), per_agent_grad, rtol=0, atol=1e-12)
+        assert np.array_equal(obj.prox_stack(steps, x), per_agent_prox)
+        assert obj.stacked_value(x) == pytest.approx(per_agent_value, rel=1e-13)
+
+    def test_part_without_stacked_form_rejected(self):
+        class CubicLoss(ZeroSmooth):
+            is_zero = False
+
+        with pytest.raises(ValueError):
+            CompositeObjective([CubicLoss(2)], [ZeroNonsmooth(2)])
+
     def test_stacked_vs_centralized_value(self):
         obj, _ = make_lasso_instance(3, 2, 4, 0.2, seed=1)
         theta = np.full(4, 0.3)

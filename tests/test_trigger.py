@@ -12,6 +12,7 @@ from etdopt.trigger import (
     max_threshold_envelope,
     parse_schedule,
     polynomial,
+    row_norms,
     should_broadcast,
     threshold,
     threshold_envelope,
@@ -95,6 +96,30 @@ class TestShouldBroadcast:
     def test_strict_inequality_semantics(self, dev, e):
         fired = should_broadcast(np.array([dev]), np.array([0.0]), e)
         assert fired == (dev > e)
+
+    def test_tiny_tie_does_not_fire(self):
+        # squaring 1.5e-158 goes subnormal, and the plain norm reads it as
+        # slightly larger than itself
+        e = 1.5058657803867238e-158
+        assert not should_broadcast(np.array([e]), np.array([0.0]), e)
+
+    def test_tiny_deviation_above_threshold_fires(self):
+        # squaring 3e-200 gives zero, and the plain norm reads it as zero
+        assert should_broadcast(np.array([3e-200, 0.0]), np.zeros(2), 1e-200)
+
+
+class TestRowNorms:
+    def test_normal_rows_match_plain_norm_bitwise(self):
+        rows = np.random.default_rng(4).standard_normal((20, 7)) * 10.0 ** np.arange(-20, 20, 2)[:, None]
+        assert np.array_equal(row_norms(rows), np.linalg.norm(rows, axis=1))
+
+    def test_tiny_huge_and_zero_rows(self):
+        rows = np.array([[3e-200, 4e-200], [3e200, 4e200], [0.0, 0.0], [5e-324, 0.0]])
+        out = row_norms(rows)
+        assert out[0] == pytest.approx(5e-200, rel=1e-15)
+        assert out[1] == pytest.approx(5e200, rel=1e-15)
+        assert out[2] == 0.0
+        assert out[3] == 5e-324
 
 
 class TestMonotonicityAndSums:
