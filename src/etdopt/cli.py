@@ -10,6 +10,7 @@ always-broadcast baseline.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics, trigger
-from .engine import RunConfig, RunTrace, run
+from .engine import VARIANTS, RunConfig, RunTrace, run
 from .graph import check_stepsize_strongly_convex, generate_random_graph, laplacian
 from .objective import (
     CompositeObjective,
@@ -83,11 +84,9 @@ class ExperimentConfig:
         return self.variant if self.variant is not None else DEFAULT_VARIANT[self.problem]
 
     def eta_vector(self, n: int) -> np.ndarray:
-        if len(self.eta) == 1:
-            return np.full(n, self.eta[0])
-        if len(self.eta) != n:
-            raise ConfigFileError(f"eta list has {len(self.eta)} entries for n={n}")
-        return np.asarray(self.eta, dtype=np.float64)
+        """One weight per agent: a single entry is repeated, a list of another
+        length than 1 or n raises ValueError."""
+        return np.broadcast_to(np.asarray(self.eta, dtype=np.float64), (n,)).copy()
 
 
 def _parse_bool(value: str, where: str) -> bool:
@@ -99,18 +98,12 @@ def _parse_bool(value: str, where: str) -> bool:
     raise ConfigFileError(f"{where}: expected a boolean, got {value!r}")
 
 
-def _parse_int_list(value: str, where: str) -> tuple:
+def _parse_list(value: str, where: str, cast) -> tuple:
     try:
-        return tuple(int(v.strip()) for v in value.split(",") if v.strip())
+        return tuple(cast(v.strip()) for v in value.split(",") if v.strip())
     except ValueError:
-        raise ConfigFileError(f"{where}: expected comma-separated integers, got {value!r}") from None
-
-
-def _parse_float_list(value: str, where: str) -> tuple:
-    try:
-        return tuple(float(v.strip()) for v in value.split(",") if v.strip())
-    except ValueError:
-        raise ConfigFileError(f"{where}: expected comma-separated numbers, got {value!r}") from None
+        raise ConfigFileError(
+            f"{where}: expected comma-separated {cast.__name__} values, got {value!r}") from None
 
 
 def _apply_key(cfg: dict, key: str, value: str, where: str):
@@ -121,28 +114,22 @@ def _apply_key(cfg: dict, key: str, value: str, where: str):
             if value not in PROBLEMS:
                 raise ConfigFileError(f"{where}: problem must be one of {PROBLEMS}, got {value!r}")
             cfg[key] = value
-        elif key in ("n", "m", "p", "mi"):
+        elif key in ("n", "m", "p", "mi", "rounds"):
             cfg[key] = int(value)
         elif key in ("tau", "ridge", "graph_r", "beta", "reference_tol", "dual_radius"):
             cfg[key] = float(value)
         elif key == "graph_seed":
             cfg[key] = int(value) if value else None
         elif key == "eta":
-            cfg[key] = _parse_float_list(value, where)
-        elif key == "variant":
+            cfg[key] = _parse_list(value, where, float)
+        elif key in ("variant", "out"):
             cfg[key] = value
         elif key == "schedule":
             trigger.parse_schedule(value)  # validate early
             cfg[key] = value
-        elif key == "rounds":
-            cfg[key] = int(value)
         elif key == "seeds":
-            cfg[key] = _parse_int_list(value, where)
-        elif key == "out":
-            cfg[key] = value
-        elif key == "certificate":
-            cfg[key] = _parse_bool(value, where)
-        elif key == "enforce_stepsize":
+            cfg[key] = _parse_list(value, where, int)
+        elif key in ("certificate", "enforce_stepsize"):
             cfg[key] = _parse_bool(value, where)
         elif key == "compare":
             specs = tuple(s.strip() for s in value.split(",") if s.strip())
@@ -151,29 +138,39 @@ def _apply_key(cfg: dict, key: str, value: str, where: str):
             cfg[key] = specs
         else:
             raise ConfigFileError(f"{where}: unknown key {key!r}")
+    except trigger.ScheduleError as err:
+        raise ConfigFileError(f"{where}: {err}") from None
     except ValueError as err:
         if isinstance(err, ConfigFileError):
             raise
         raise ConfigFileError(f"{where}: bad value for {key}: {value!r}") from None
-    except trigger.ScheduleError as err:
-        raise ConfigFileError(f"{where}: {err}") from None
+
+
+def _positive(value: float) -> bool:
+    return 0.0 < value < math.inf
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.beta <= 0:
-        raise ConfigFileError(f"beta must be positive, got {cfg.beta}")
-    if any(e <= 0 for e in cfg.eta):
-        raise ConfigFileError("eta entries must be positive")
-    if not (0.0 < cfg.graph_r <= 1.0):
-        raise ConfigFileError(f"graph_r must be in (0, 1], got {cfg.graph_r}")
-    if cfg.rounds is not None and cfg.rounds < 0:
-        raise ConfigFileError(f"rounds must be >= 0, got {cfg.rounds}")
-    if cfg.reference_tol <= 0:
-        raise ConfigFileError("reference_tol must be positive")
-    if not cfg.seeds:
-        raise ConfigFileError("need at least one seed")
-    if cfg.variant is not None and cfg.variant not in ("composite", "smooth", "nonsmooth"):
-        raise ConfigFileError(f"unknown variant {cfg.variant!r}")
+    problems = (
+        (cfg.n < 2, f"n must be >= 2, got {cfg.n}"),
+        (min(cfg.m, cfg.p, cfg.mi) < 1, f"m, p and mi must be >= 1, got {cfg.m, cfg.p, cfg.mi}"),
+        (not _positive(cfg.beta), f"beta must be positive and finite, got {cfg.beta}"),
+        (not cfg.eta or not all(map(_positive, cfg.eta)), "eta entries must be positive, finite"),
+        (len(cfg.eta) not in (1, cfg.n), f"eta list has {len(cfg.eta)} entries for n={cfg.n}"),
+        (not (0.0 <= cfg.tau < math.inf and 0.0 <= cfg.ridge < math.inf),
+         f"tau and ridge must be >= 0 and finite, got {cfg.tau}, {cfg.ridge}"),
+        (cfg.dual_radius is not None and not _positive(cfg.dual_radius),
+         f"dual_radius must be positive and finite, got {cfg.dual_radius}"),
+        (not 0.0 < cfg.graph_r <= 1.0, f"graph_r must be in (0, 1], got {cfg.graph_r}"),
+        (cfg.rounds is not None and cfg.rounds < 0, f"rounds must be >= 0, got {cfg.rounds}"),
+        (not _positive(cfg.reference_tol), "reference_tol must be positive and finite"),
+        (not cfg.seeds, "need at least one seed"),
+        (min(cfg.seeds, default=0) < 0 or (cfg.graph_seed or 0) < 0, "seeds must be >= 0"),
+        (cfg.variant not in (None, *VARIANTS), f"unknown variant {cfg.variant!r}"),
+    )
+    for failed, message in problems:
+        if failed:
+            raise ConfigFileError(message)
     return cfg
 
 
@@ -182,10 +179,14 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
 
     The file is flat "key = value" text with '#' comments; unknown keys are
     rejected with their line number. An empty file yields the defaults.
+    Every rejection, an unreadable file included, is a ConfigFileError.
     """
     cfg: dict = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigFileError(f"{path}: cannot read config file: {err}") from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -255,25 +256,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _residual(trace: RunTrace, k: int, x_star: np.ndarray) -> float:
-    """Relative residual when defined; when the start point coincides with
-    the replicated minimizer (regularizer-pinned optimum at the all-zero
-    start) the unnormalized distance is reported instead."""
-    if float(np.linalg.norm(trace.x_at(0) - x_star[None, :])) > 0.0:
-        return metrics.primal_residual(trace, k, x_star)
-    return float(np.linalg.norm(trace.x_at(k) - x_star[None, :]))
-
-
-def write_trace_csv(path: Path, trace: RunTrace, series: metrics.ErgodicSeries,
-                    reference: ReferenceSolution):
-    """Emit one row per stored round, the gap and consensus columns read from
-    the trace's `series`. A diverged run ends with a sentinel row of NaNs at
-    the failing round."""
+def write_trace_csv(path: Path, trace: RunTrace, series: metrics.ErgodicSeries):
+    """Emit one row per round, the error columns read from the trace's
+    `series`. A diverged run ends with a sentinel row of NaNs at the failing
+    round."""
     summary = metrics.broadcast_summary(trace)
     lines = [CSV_HEADER]
-    for k, gap, cons in zip(series.rounds.tolist(), series.objective_gap,
-                            series.consensus_error):
-        resid = _residual(trace, k, reference.x_star)
+    for k, gap, cons, resid in zip(series.rounds.tolist(), series.objective_gap,
+                                   series.consensus_error, series.primal_residual):
         lines.append(
             f"{k},{_fmt(gap)},{_fmt(cons)},{_fmt(resid)},"
             f"{int(summary.cumulative[k, 0])},{int(summary.cumulative[k].sum())}"
@@ -296,8 +286,7 @@ def _strong_convexity_margin(cfg_run: RunConfig) -> Optional[float]:
 
 
 def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
-                  series: metrics.ErgodicSeries, reference: ReferenceSolution,
-                  certificate_text: str):
+                  series: metrics.ErgodicSeries, certificate_text: str):
     """Write the run's summary, its final errors read from the trace's
     `series`."""
     done = trace.completed_rounds
@@ -322,7 +311,7 @@ def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: 
         lines += [
             f"final_objective_gap {_fmt(series.objective_gap[-1])}",
             f"final_consensus_error {_fmt(series.consensus_error[-1])}",
-            f"final_primal_residual {_fmt(_residual(trace, done, reference.x_star))}",
+            f"final_primal_residual {_fmt(series.primal_residual[-1])}",
         ]
     summary = metrics.broadcast_summary(trace)
     lines += [
@@ -344,7 +333,7 @@ class ComparisonTable:
     """Broadcasts by agent 0 needed to first reach each threshold, per
     schedule, with ratios against the always-broadcast baseline.
 
-    A threshold thr counts as reached at the first stored round k >= 1 where
+    A threshold thr counts as reached at the first round k >= 1 where
     both the ergodic objective gap and the ergodic consensus error are
     <= thr: the gap alone can pass through zero at an average that is not in
     consensus."""
@@ -377,7 +366,7 @@ def compare_schedules(traces: dict, series: dict,
     `ComparisonTable`).
 
     `traces` maps schedule spec strings to traces that share one instance and
-    seed, and `series` maps the same specs to their `metrics.ergodic_series`;
+    seed, and `series` maps the same specs to their `metrics.ErgodicSeries`;
     a "zero" entry provides the ratio baseline.
     """
     counts: dict = {}
@@ -458,8 +447,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 variant=cfg.effective_variant(),
                 enforce_stepsize=cfg.enforce_stepsize,
             )
-            trace = run(run_cfg, instance_digest=digest)
-            series = metrics.ergodic_series(trace, objective, lap, reference.f_star)
+            recorder = metrics.ErgodicRecorder(objective, lap, reference.f_star,
+                                               reference.x_star)
+            trace = run(run_cfg, instance_digest=digest, observe=recorder)
+            series = recorder.series()
             seed_traces[spec] = trace
             seed_series[spec] = series
 
@@ -468,9 +459,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             certificate_text = ""
             if cfg.certificate and not trace.diverged:
                 certificate_text = _certificate_block(cfg, run_cfg, trace, reference, series)
-            write_trace_csv(run_dir / "trace.csv", trace, series, reference)
-            write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, series, reference,
-                          certificate_text)
+            write_trace_csv(run_dir / "trace.csv", trace, series)
+            write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, series, certificate_text)
             result.run_dirs.append(run_dir)
             if trace.diverged:
                 result.diverged_runs.append(
@@ -490,8 +480,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def _certificate_block(cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
                        reference: ReferenceSolution, series: metrics.ErgodicSeries) -> str:
     try:
-        cert = metrics.ergodic_rate_certificate(run_cfg, trace, reference, cfg.dual_radius,
-                                                series)
+        cert = metrics.ergodic_rate_certificate(run_cfg, trace, reference, series,
+                                                cfg.dual_radius)
         return cert.to_text()
     except metrics.CertificateError as err:
         return f"certificate_skipped {err}\n"
@@ -512,7 +502,7 @@ def main(argv=None) -> int:
     parser.add_argument("--eta", help="scalar or comma-separated per-agent list")
     parser.add_argument("--graph-r", type=float, dest="graph_r")
     parser.add_argument("--certificate", action="store_true", default=None,
-                        help="emit the ergodic rate certificate (n <= 64)")
+                        help="emit the ergodic rate certificate")
     parser.add_argument("--compare", help="comma-separated schedule specs to compare")
     args = parser.parse_args(argv)
 
@@ -530,7 +520,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = parse_config(args.config, overrides)
-    except (ConfigFileError, FileNotFoundError) as err:
+    except ConfigFileError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,12 @@ operations:
 Delivery is implicit: L x_tilde reads every agent's current copy. A stacked
 always-broadcast stepper built from the per-agent parts is kept as an
 independent reference path for equivalence checks.
+
+`run` keeps the starting point, each round's broadcast flags, two running
+diagnostics (trigger slack, dual imbalance) and the final state; it stores
+no per-round iterates. Anything else a caller wants from every round it
+computes in an `observe` callable as the round happens (see
+`metrics.ErgodicRecorder`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,9 +38,6 @@ from .graph import Graph, check_stepsize_composite, is_connected, laplacian, max
 from .objective import CompositeObjective, instance_hash
 
 VARIANTS = ("composite", "smooth", "nonsmooth")
-
-SNAPSHOT_FULL_LIMIT = 10_000  # n*m above this thins snapshots to every 10th round
-THINNED_STRIDE = 10
 
 
 class ConfigError(ValueError):
@@ -93,7 +96,6 @@ class RunConfig:
     x0: Optional[np.ndarray] = None
     z0: Optional[np.ndarray] = None
     enforce_stepsize: bool = True
-    snapshot_stride: Optional[int] = None
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=np.float64)
@@ -108,11 +110,6 @@ class RunConfig:
     @property
     def m(self) -> int:
         return self.objective.m
-
-    def effective_stride(self) -> int:
-        if self.snapshot_stride is not None:
-            return self.snapshot_stride
-        return 1 if self.n * self.m <= SNAPSHOT_FULL_LIMIT else THINNED_STRIDE
 
     def validate(self):
         """Check shapes, positivity, variant consistency and the stepsize
@@ -254,16 +251,20 @@ def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective
 
 @dataclass
 class TraceRecord:
+    """One round of a run: its broadcast flags. Only round 0 holds the
+    starting stacks x and z; later rounds hold none, and no record holds an
+    ergodic sum (the field stays for readers of the record layout)."""
+
     k: int
     broadcasts: np.ndarray  # 0/1 per agent, this round
     x: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
-    ergodic_sum: Optional[np.ndarray] = None  # sum of x over rounds 1..k
+    ergodic_sum: Optional[np.ndarray] = None
 
 
 @dataclass
 class RunTrace:
-    """Per-round records plus run-level diagnostics.
+    """Per-round broadcast records plus run-level diagnostics.
 
     `max_trigger_slack` is the worst observed deviation-minus-threshold
     (must stay <= 0 for event rules; None for the periodic scheme) and
@@ -286,34 +287,13 @@ class RunTrace:
     def completed_rounds(self) -> int:
         return len(self.records) - 1
 
-    def record_at(self, k: int) -> TraceRecord:
-        if not (0 <= k < len(self.records)):
-            raise IndexError(f"round {k} outside completed range 0..{self.completed_rounds}")
-        return self.records[k]
-
-    def x_at(self, k: int) -> np.ndarray:
-        rec = self.record_at(k)
-        if rec.x is None:
-            raise ValueError(f"no primal snapshot stored at round {k} (thinned trace)")
-        return rec.x
-
-    def z_at(self, k: int) -> np.ndarray:
-        rec = self.record_at(k)
-        if rec.z is None:
-            raise ValueError(f"no dual snapshot stored at round {k} (thinned trace)")
-        return rec.z
-
-    def ergodic_sum_at(self, k: int) -> np.ndarray:
-        rec = self.record_at(k)
-        if rec.ergodic_sum is None:
-            raise ValueError(f"no ergodic sum stored at round {k} (thinned trace)")
-        return rec.ergodic_sum
+    @property
+    def x0(self) -> np.ndarray:
+        """The primal stack at round 0."""
+        return self.records[0].x
 
     def broadcast_matrix(self) -> np.ndarray:
         return np.stack([rec.broadcasts for rec in self.records])
-
-    def stored_rounds(self):
-        return [rec.k for rec in self.records if rec.x is not None]
 
     @property
     def initial_dual_is_zero(self) -> bool:
@@ -332,17 +312,19 @@ def _digest(objective: CompositeObjective) -> str:
         return "unserialized"
 
 
-def run(config: RunConfig, instance_digest: Optional[str] = None) -> RunTrace:
-    """Execute the full round loop, collecting snapshots and diagnostics.
+def run(config: RunConfig, instance_digest: Optional[str] = None,
+        observe: Optional[Callable[[NetworkState], None]] = None) -> RunTrace:
+    """Execute the full round loop, keeping broadcast flags and diagnostics.
 
+    `observe`, when given, is called with the state of round 0 and then with
+    each completed round's state, in order, before the next round starts.
     `instance_digest` is recorded in the trace; callers that have already
     serialized the objective pass its digest, otherwise it is computed here.
     Divergence does not raise: the returned trace is flagged and holds the
     rounds completed before the non-finite iterate appeared.
     """
     check = config.validate()
-    stride = config.effective_stride()
-    n, m = config.n, config.m
+    n = config.n
     event_rule = config.schedule.is_event_rule
     if instance_digest is None:
         instance_digest = _digest(config.objective)
@@ -350,11 +332,10 @@ def run(config: RunConfig, instance_digest: Optional[str] = None) -> RunTrace:
     started = time.perf_counter()
 
     state = initial_state(config)
-    ergodic = np.zeros((n, m))
     trace.records.append(
-        TraceRecord(k=0, broadcasts=state.fired.astype(np.uint8), x=state.x, z=state.z,
-                    ergodic_sum=ergodic.copy())
-    )
+        TraceRecord(k=0, broadcasts=state.fired.astype(np.uint8), x=state.x, z=state.z))
+    if observe is not None:
+        observe(state)
     if event_rule:
         trace.max_trigger_slack = -np.inf
 
@@ -367,7 +348,6 @@ def run(config: RunConfig, instance_digest: Optional[str] = None) -> RunTrace:
             trace.diverged_agent = err.agent
             break
         x_k, z_k = state.x, state.z
-        ergodic += x_k
 
         if event_rule:
             slack = trig.row_norms(x_k - state.x_tilde) - trig.thresholds(config.schedule, n, k)
@@ -378,16 +358,9 @@ def run(config: RunConfig, instance_digest: Optional[str] = None) -> RunTrace:
             if imbalance > trace.max_dual_imbalance:
                 trace.max_dual_imbalance = imbalance
 
-        store = (k % stride == 0) or (k == config.rounds)
-        trace.records.append(
-            TraceRecord(
-                k=k,
-                broadcasts=state.fired.astype(np.uint8),
-                x=x_k if store else None,
-                z=z_k if store else None,
-                ergodic_sum=ergodic.copy() if store else None,
-            )
-        )
+        trace.records.append(TraceRecord(k=k, broadcasts=state.fired.astype(np.uint8)))
+        if observe is not None:
+            observe(state)
 
     trace.final_state = state
     trace.elapsed_seconds = time.perf_counter() - started

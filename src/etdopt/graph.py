@@ -193,8 +193,8 @@ def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def jacobi_eigh(mat: np.ndarray):
-    """Full eigendecomposition of a symmetric matrix by LAPACK.
+def eigh(mat: np.ndarray):
+    """Full eigendecomposition of a symmetric matrix (LAPACK).
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
@@ -277,13 +277,14 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    """Inverse of `graph_to_text`; malformed text raises GraphConfigError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphConfigError("empty edge-list text")
     head = lines[0].split()
     if len(head) != 2:
         raise GraphConfigError(f"bad header line: {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(head, lines[0])
     if len(lines) - 1 != m:
         raise GraphConfigError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []
@@ -291,5 +292,12 @@ def graph_from_text(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphConfigError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(_ints(parts, ln))
     return Graph.from_edges(n, edges)
+
+
+def _ints(tokens, line: str) -> tuple:
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise GraphConfigError(f"expected integers, got {line!r}") from None

@@ -1,8 +1,13 @@
-"""Trace post-processing.
+"""Per-round errors of a run, broadcast accounting, decay rate fits, and a
+computable certificate for the ergodic O(1/t) bound that the always-valid
+threshold budget implies for summable schedules.
 
-Ergodic averages, consensus/objective errors, broadcast accounting, decay
-rate fits, and a computable certificate for the ergodic O(1/t) bound that
-the always-valid threshold budget implies for summable schedules.
+`ErgodicRecorder` is the observer `engine.run` calls once per round: it keeps
+the running sum of the primal stacks and records, as each round happens, the
+signed objective gap and consensus error of the ergodic average and the
+primal residual of the iterate. The run itself stores no per-round iterates,
+so everything downstream (CSV, summary, comparison table, certificate) reads
+the resulting `ErgodicSeries` plus the trace's round 0.
 """
 
 from __future__ import annotations
@@ -13,24 +18,16 @@ from typing import Optional
 import numpy as np
 
 from . import trigger as trig
-from .engine import RunConfig, RunTrace
-from .graph import check_stepsize_composite, jacobi_eigh, laplacian, laplacian_norm
+from .engine import NetworkState, RunConfig, RunTrace
+from .graph import check_stepsize_composite, eigh, laplacian, laplacian_norm
 from .objective import CompositeObjective
 from .reference import ReferenceSolution, dual_from_reference
 
-CERTIFICATE_MAX_NODES = 64
 _ZERO_EIG_RTOL = 1e-9
 
 
 class CertificateError(ValueError):
     """Certificate preconditions not met."""
-
-
-def ergodic_average(trace: RunTrace, t: int) -> np.ndarray:
-    """Mean of the primal stack over rounds 1..t."""
-    if not (1 <= t <= trace.completed_rounds):
-        raise ValueError(f"t must be in 1..{trace.completed_rounds}, got {t}")
-    return trace.ergodic_sum_at(t) / t
 
 
 def consensus_error(lap: np.ndarray, v: np.ndarray) -> float:
@@ -47,25 +44,16 @@ def objective_gap(objective: CompositeObjective, v: np.ndarray, f_star: float) -
     return abs(signed_objective_gap(objective, v, f_star))
 
 
-def primal_residual(trace: RunTrace, k: int, x_star: np.ndarray) -> float:
-    """Frobenius distance to the replicated minimizer, relative to round 0."""
-    x_star = np.asarray(x_star, dtype=np.float64)
-    x0 = trace.x_at(0)
-    denom = float(np.linalg.norm(x0 - x_star[None, :]))
-    if denom == 0.0:
-        raise ValueError("round-0 iterate coincides with the minimizer; residual undefined")
-    num = float(np.linalg.norm(trace.x_at(k) - x_star[None, :]))
-    return num / denom
-
-
 @dataclass
 class ErgodicSeries:
-    """Errors of one trace at each of its stored rounds: of the starting
-    point at round 0, of the ergodic average from round 1 on."""
+    """Errors of one run at each of its rounds 0..completed: the gap and
+    consensus error of the starting point at round 0 and of the ergodic
+    average from round 1 on, and the primal residual of the iterate."""
 
-    rounds: np.ndarray           # stored rounds, ascending, 0 first
+    rounds: np.ndarray           # 0, 1, ..., completed rounds
     signed_gap: np.ndarray       # F(point) - F*
     consensus_error: np.ndarray  # Laplacian seminorm of the point
+    primal_residual: np.ndarray  # see `ErgodicRecorder`
 
     @property
     def objective_gap(self) -> np.ndarray:
@@ -73,19 +61,43 @@ class ErgodicSeries:
         return np.abs(self.signed_gap)
 
 
-def ergodic_series(trace: RunTrace, objective: CompositeObjective, lap: np.ndarray,
-                   f_star: float) -> ErgodicSeries:
-    """Signed objective gap and consensus error at every stored round,
-    computed once for every consumer of the trace."""
-    rounds = np.array(trace.stored_rounds(), dtype=np.int64)
-    norm = laplacian_norm(lap)
-    gap = np.empty(rounds.shape)
-    cons = np.empty(rounds.shape)
-    for idx, k in enumerate(rounds.tolist()):
-        point = trace.x_at(0) if k == 0 else ergodic_average(trace, k)
-        gap[idx] = signed_objective_gap(objective, point, f_star)
-        cons[idx] = norm(point)
-    return ErgodicSeries(rounds=rounds, signed_gap=gap, consensus_error=cons)
+class ErgodicRecorder:
+    """Observer for `engine.run` that fills an `ErgodicSeries` round by round.
+
+    The primal residual is ||x_k - 1 x*|| relative to its round-0 value; when
+    the start point coincides with the replicated minimizer (a
+    regularizer-pinned optimum at the all-zero start) the unnormalized
+    distance is recorded instead.
+    """
+
+    def __init__(self, objective: CompositeObjective, lap: np.ndarray, f_star: float,
+                 x_star: np.ndarray):
+        self._objective = objective
+        self._norm = laplacian_norm(lap)
+        self._f_star = f_star
+        self._x_star = np.asarray(x_star, dtype=np.float64)[None, :]
+        self._sum = self._start = None
+        self._rows: list = []  # (signed gap, consensus error, primal residual) per round
+
+    def __call__(self, state: NetworkState):
+        k = state.round
+        if k != len(self._rows):
+            raise ValueError(f"expected round {len(self._rows)}, got round {k}")
+        dist = float(np.linalg.norm(state.x - self._x_star))
+        if k == 0:
+            self._sum, self._start = np.zeros_like(state.x), dist
+            point = state.x
+        else:
+            self._sum += state.x
+            point = self._sum / k
+        self._rows.append((signed_objective_gap(self._objective, point, self._f_star),
+                           self._norm(point), dist / self._start if self._start > 0.0 else dist))
+
+    def series(self) -> ErgodicSeries:
+        """The rounds observed so far."""
+        gap, cons, resid = np.array(self._rows, dtype=np.float64).reshape(-1, 3).T
+        return ErgodicSeries(rounds=np.arange(len(self._rows)), signed_gap=gap,
+                             consensus_error=cons, primal_residual=resid)
 
 
 @dataclass
@@ -208,22 +220,20 @@ def ergodic_rate_certificate(
     config: RunConfig,
     trace: RunTrace,
     reference: ReferenceSolution,
+    series: ErgodicSeries,
     dual_radius: Optional[float] = None,
-    series: Optional[ErgodicSeries] = None,
 ) -> ErgodicRateCertificate:
-    """Evaluate the ergodic error bounds at every stored round and compare
-    them with the measured trajectory, read from the trace's `series`
-    (computed here when the caller has none).
+    """Evaluate the ergodic error bounds at every round of the trace and
+    compare them with the measured trajectory, read from the trace's
+    `series`.
 
     Requires: a summable schedule, zero initial duals, a certified
     reference, a positive stepsize margin, strictly positive smooth
-    curvature bounds, at most 64 nodes, and dual_radius above the optimal
-    dual norm (None picks twice the norm plus a unit of slack).
+    curvature bounds, and dual_radius above the optimal dual norm (None
+    picks twice the norm plus a unit of slack).
     """
     g, obj = config.graph, config.objective
     n = g.n
-    if n > CERTIFICATE_MAX_NODES:
-        raise CertificateError(f"certificate supports up to {CERTIFICATE_MAX_NODES} nodes, got {n}")
     if not config.schedule.is_summable:
         raise CertificateError("certificate requires a summable threshold schedule")
     if not trace.initial_dual_is_zero:
@@ -239,7 +249,7 @@ def ergodic_rate_certificate(
     if not check.ok:
         raise CertificateError(f"stepsize margin is not positive ({check.margin:.3e})")
 
-    eigvals, eigvecs = jacobi_eigh(lap)
+    eigvals, eigvecs = eigh(lap)
     lam_max = float(eigvals[-1])
     positive = eigvals > _ZERO_EIG_RTOL * max(lam_max, 1.0)
     if int(np.sum(~positive)) != 1:
@@ -260,17 +270,14 @@ def ergodic_rate_certificate(
     trigger_gain = max(2.0 * config.beta * lam_max, 1.0)
     residual_gain = min(float(np.min(lf)), 1.0 / coupling_max)
 
-    x0 = trace.x_at(0)
-    diff0 = x0 - reference.x_star[None, :]
+    diff0 = trace.x0 - reference.x_star[None, :]
     p_mat = np.diag(config.eta) - config.beta * lap
     start_distance = float(np.sqrt(max(np.sum(diff0 * (p_mat @ diff0)), 0.0)))
 
-    if series is None:
-        series = ergodic_series(trace, obj, lap, reference.f_star)
     after_start = series.rounds >= 1
     t_values = series.rounds[after_start]
     if t_values.size == 0:
-        raise CertificateError("trace holds no post-start snapshots to certify")
+        raise CertificateError("trace holds no completed round to certify")
 
     # Threshold budget: cumulative network-wide envelope sums through t-1.
     max_t = int(t_values[-1])

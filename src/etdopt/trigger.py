@@ -39,12 +39,12 @@ class TriggerSchedule:
         if self.kind == POLYNOMIAL:
             if not self.p > 1.0:
                 raise ScheduleError(f"poly exponent must be > 1, got {self.p}")
-            if self.e0 < 0.0:
+            if not self.e0 >= 0.0:
                 raise ScheduleError(f"poly base must be >= 0, got {self.e0}")
         elif self.kind == EXPONENTIAL:
             if not (0.0 < self.rho < 1.0):
                 raise ScheduleError(f"exp ratio must be in (0, 1), got {self.rho}")
-            if self.e0 < 0.0:
+            if not self.e0 >= 0.0:
                 raise ScheduleError(f"exp base must be >= 0, got {self.e0}")
         elif self.kind == ZERO:
             pass
@@ -73,13 +73,22 @@ class TriggerSchedule:
         return all(s.is_summable for s in self.overrides.values())
 
     def spec_string(self) -> str:
+        """The spec `parse_schedule` reads back as this schedule (without
+        overrides)."""
         if self.kind == POLYNOMIAL:
-            return f"poly:{self.e0:g}:{self.p:g}"
+            return f"poly:{_spec_number(self.e0)}:{_spec_number(self.p)}"
         if self.kind == EXPONENTIAL:
-            return f"exp:{self.e0:g}:{self.rho:g}"
+            return f"exp:{_spec_number(self.e0)}:{_spec_number(self.rho)}"
         if self.kind == ZERO:
             return "zero"
         return f"everyN:{self.period}"
+
+
+def _spec_number(value: float) -> str:
+    """Six significant digits when they are exact, else the shortest exact
+    form, so distinct schedules never share a spec."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 def polynomial(e0: float, p: float) -> TriggerSchedule:
@@ -190,10 +199,14 @@ def _parse_value(token: str, position: str) -> float:
     try:
         if "^" in token:
             base_s, exp_s = token.split("^", 1)
-            return float(base_s) ** float(exp_s)
-        return float(token)
-    except ValueError:
+            value = float(base_s) ** float(exp_s)
+        else:
+            value = float(token)
+    except (ValueError, OverflowError, ZeroDivisionError):
         raise ScheduleError(f"cannot parse number {token!r} at {position}") from None
+    if isinstance(value, complex):
+        raise ScheduleError(f"{token!r} at {position} is not a real number")
+    return value
 
 
 def parse_schedule(spec: str) -> TriggerSchedule:

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from etdopt.engine import RunConfig, suggested_stepsizes
-from etdopt.graph import generate_random_graph
+from etdopt.engine import (
+    DivergenceError,
+    RunConfig,
+    initial_state,
+    run,
+    run_round,
+    suggested_stepsizes,
+)
+from etdopt.graph import generate_random_graph, laplacian
+from etdopt.metrics import ErgodicRecorder
 from etdopt.objective import (
     CompositeObjective,
     ScaledL1,
@@ -117,6 +125,28 @@ def consensus_run_config(n=12, m=3, seed=3, schedule="zero", rounds=200, graph_r
         x0=x0,
         **kwargs,
     )
+
+
+def drive_states(config: RunConfig) -> list:
+    """The network states of rounds 0, 1, ..., config.rounds, driven one
+    `run_round` call at a time; a diverging run stops at its last finite
+    round."""
+    state = initial_state(config)
+    states = [state]
+    for _ in range(config.rounds):
+        try:
+            state = run_round(state, config)
+        except DivergenceError:
+            break
+        states.append(state)
+    return states
+
+
+def run_with_series(config: RunConfig, f_star: float, x_star: np.ndarray):
+    """`run` with an `ErgodicRecorder` observing it: (trace, series)."""
+    recorder = ErgodicRecorder(config.objective, laplacian(config.graph), f_star, x_star)
+    trace = run(config, observe=recorder)
+    return trace, recorder.series()
 
 
 def max_relative_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -312,6 +312,24 @@ class TestMain:
     def test_bad_flag_value_exits_2(self, tmp_path):
         assert main(["--beta", "-3", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("line", ["n = -5", "m = 0", "p = 0", "mi = 0", "eta = nan",
+                                      "beta = inf", "eta = 1, 2", "seeds = -1"])
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(line + "\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--rounds", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_schedule_flag_exits_2(self, tmp_path, capsys):
+        assert main(["--schedule", "poly:2^1e5:1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_module_entry_point_runs_without_runpy_warning(self):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     consensus_run_config,
+    drive_states,
     lasso_run_config,
     max_relative_deviation,
     pure_l1_run_config,
@@ -163,9 +164,8 @@ class TestDualStep:
 
     def test_dual_sum_conserved_over_run(self):
         cfg = lasso_run_config(n=6, rounds=50, schedule="poly:1:1.5")
-        trace = run(cfg)
-        for k in trace.stored_rounds():
-            z = trace.z_at(k)
+        for state in drive_states(cfg):
+            z = state.z
             assert np.max(np.abs(z.sum(axis=0))) <= 1e-9 * max(np.max(np.abs(z)), 1e-300) * 6
 
 
@@ -186,14 +186,14 @@ class TestRunRound:
         cfg.schedule = polynomial(float("inf"), 2.0)
         trace = run(cfg)
         assert np.all(trace.final_state.broadcast_count == 1)
-        assert np.array_equal(state_broadcast(trace.final_state), trace.x_at(0))
+        assert np.array_equal(state_broadcast(trace.final_state), trace.x0)
 
     def test_pure_consensus_conserves_column_sums(self):
         cfg = consensus_run_config(n=10, m=2, rounds=300, schedule="poly:0.5:1.3")
-        trace = run(cfg)
-        start = trace.x_at(0).sum(axis=0)
-        for k in trace.stored_rounds():
-            drift = np.max(np.abs(trace.x_at(k).sum(axis=0) - start))
+        states = drive_states(cfg)
+        start = states[0].x.sum(axis=0)
+        for state in states:
+            drift = np.max(np.abs(state.x.sum(axis=0) - start))
             assert drift <= 1e-12
 
     def test_every_n_modulus_rule(self):
@@ -216,13 +216,14 @@ class TestRunRound:
 class TestMatrixStep:
     def test_trajectory_equivalence_lasso(self):
         cfg = lasso_run_config(n=10, m=5, rounds=100, schedule="zero", seed=1)
-        trace = run(cfg)
+        states = drive_states(cfg)
+        assert states[-1].round == 100
         lap = laplacian(cfg.graph)
-        x, z = trace.x_at(0), trace.z_at(0)
-        for k in range(1, 101):
+        x, z = states[0].x, states[0].z
+        for state in states[1:]:
             x, z = matrix_lalm_step(x, z, cfg.objective, lap, cfg.eta, cfg.beta)
-            assert max_relative_deviation(trace.x_at(k), x) <= 1e-12
-            assert max_relative_deviation(trace.z_at(k), z) <= 1e-12
+            assert max_relative_deviation(state.x, x) <= 1e-12
+            assert max_relative_deviation(state.z, z) <= 1e-12
 
     def test_single_node_decouples_to_proximal_gradient(self):
         obj = CompositeObjective(
@@ -254,23 +255,28 @@ class TestRun:
         trace = run(cfg)
         assert trace.completed_rounds == 0
         assert len(trace.records) == 1
-        assert np.array_equal(trace.x_at(0), np.zeros((4, 5)))
+        assert np.array_equal(trace.x0, np.zeros((4, 5)))
 
     def test_quadratic_converges_to_closed_form(self):
         cfg = quadratic_run_config(n=10, m=3, seed=2, rounds=3000, schedule="exp:1:0.9")
         trace = run(cfg)
         x_star = quadratic_minimizer(cfg.objective)
-        err = np.max(np.linalg.norm(trace.x_at(3000) - x_star[None, :], axis=1))
+        assert trace.final_state.round == 3000
+        err = np.max(np.linalg.norm(trace.final_state.x - x_star[None, :], axis=1))
         assert err <= 1e-6
 
     def test_repeat_runs_identical(self):
         for schedule in ("zero", "poly:1:1.2", "everyN:3"):
             a = run(lasso_run_config(n=5, rounds=40, schedule=schedule))
             b = run(lasso_run_config(n=5, rounds=40, schedule=schedule))
-            for k in a.stored_rounds():
-                assert np.array_equal(a.x_at(k), b.x_at(k))
-                assert np.array_equal(a.z_at(k), b.z_at(k))
+            assert np.array_equal(a.final_state.x, b.final_state.x)
+            assert np.array_equal(a.final_state.z, b.final_state.z)
             assert np.array_equal(a.broadcast_matrix(), b.broadcast_matrix())
+            states_a = drive_states(lasso_run_config(n=5, rounds=40, schedule=schedule))
+            states_b = drive_states(lasso_run_config(n=5, rounds=40, schedule=schedule))
+            for sa, sb in zip(states_a, states_b, strict=True):
+                assert np.array_equal(sa.x, sb.x)
+                assert np.array_equal(sa.z, sb.z)
 
     def test_record_count_and_flags(self):
         cfg = lasso_run_config(n=4, rounds=25, schedule="poly:5:1.4")
@@ -279,6 +285,25 @@ class TestRun:
         flags = trace.broadcast_matrix()
         assert np.all(flags[0] == 1)
         assert flags.min() >= 0 and flags.max() <= 1
+
+    def test_no_per_round_arrays_beyond_round_zero(self):
+        cfg = lasso_run_config(n=6, rounds=500, schedule="poly:1:1.2")
+        trace = run(cfg)
+        assert trace.completed_rounds == 500
+        first, *rest = trace.records
+        assert first.x is not None and first.z is not None
+        assert all(rec.x is None and rec.z is None and rec.ergodic_sum is None for rec in rest)
+        assert all(rec.broadcasts.nbytes == 6 for rec in trace.records)
+
+    def test_observer_sees_every_state_in_order(self):
+        cfg = lasso_run_config(n=5, rounds=30, schedule="poly:1:1.2")
+        seen = []
+        trace = run(cfg, observe=seen.append)
+        assert [s.round for s in seen] == list(range(31))
+        assert seen[-1] is trace.final_state
+        for observed, driven in zip(seen, drive_states(cfg), strict=True):
+            assert np.array_equal(observed.x, driven.x)
+            assert np.array_equal(observed.z, driven.z)
 
     def test_divergence_flagged_with_partial_trace(self):
         cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero",
@@ -312,12 +337,15 @@ class TestRun:
     def test_nonsmooth_variant_runs_and_matches_matrix_path(self):
         cfg = pure_l1_run_config(n=6, m=3, rounds=60, schedule="zero")
         trace = run(cfg)
+        assert trace.completed_rounds == 60
+        states = drive_states(cfg)
+        assert states[-1].round == 60
         lap = laplacian(cfg.graph)
-        x, z = trace.x_at(0), trace.z_at(0)
-        for k in range(1, 61):
+        x, z = states[0].x, states[0].z
+        for state in states[1:]:
             x, z = matrix_lalm_step(x, z, cfg.objective, lap, cfg.eta, cfg.beta)
-            assert max_relative_deviation(trace.x_at(k), x) <= 1e-12
-            assert max_relative_deviation(trace.z_at(k), z) <= 1e-12
+            assert max_relative_deviation(state.x, x) <= 1e-12
+            assert max_relative_deviation(state.z, z) <= 1e-12
 
     def test_primal_step_prox_inclusion_along_run(self):
         cfg = lasso_run_config(n=5, rounds=30, schedule="poly:1:1.2")

@@ -12,11 +12,11 @@ from etdopt.graph import (
     adjacency,
     check_stepsize_composite,
     check_stepsize_strongly_convex,
+    eigh,
     generate_random_graph,
     graph_from_text,
     graph_to_text,
     is_connected,
-    jacobi_eigh,
     laplacian,
     laplacian_quadratic_norm,
     max_eigenvalue,
@@ -169,22 +169,22 @@ class TestEigenvalues:
             assert max_eigenvalue(m) == pytest.approx(expected[-1], rel=1e-8)
             assert min_eigenvalue(m) == pytest.approx(expected[0], rel=1e-8)
 
-    def test_jacobi_full_spectrum_matches_oracle(self):
+    def test_eigh_full_spectrum_matches_oracle(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((20, 20))
         m = m + m.T
-        w, v = jacobi_eigh(m)
+        w, v = eigh(m)
         expected = np.linalg.eigvalsh(m)
         assert np.allclose(w, expected, rtol=1e-10, atol=1e-10)
         assert np.allclose(m @ v, v @ np.diag(w), atol=1e-9)
 
     def test_fiedler_positive_iff_connected(self):
         g = generate_random_graph(16, 0.4, seed=1)
-        w, _ = jacobi_eigh(laplacian(g))
+        w, _ = eigh(laplacian(g))
         assert w[0] == pytest.approx(0.0, abs=1e-9)
         assert w[1] > 1e-9
         disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-        w2, _ = jacobi_eigh(laplacian(disconnected))
+        w2, _ = eigh(laplacian(disconnected))
         assert w2[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_non_symmetric_rejected(self):
@@ -285,3 +285,11 @@ class TestEdgeListRoundTrip:
     def test_malformed_header_rejected(self):
         with pytest.raises(GraphConfigError):
             graph_from_text("3\n0 1\n")
+
+    def test_non_integer_edge_rejected(self):
+        with pytest.raises(GraphConfigError, match="integers"):
+            graph_from_text("3 1\n0 1.5\n")
+
+    def test_non_integer_header_rejected(self):
+        with pytest.raises(GraphConfigError, match="integers"):
+            graph_from_text("3 x\n0 1\n")

@@ -1,20 +1,28 @@
-"""Tests for trace post-processing and the ergodic rate certificate."""
+"""Tests for the per-round error series, trace accounting and the ergodic
+rate certificate."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import lasso_run_config, logistic_run_config, quadratic_run_config
-from etdopt.engine import RunTrace, TraceRecord, run, suggested_stepsizes
+from conftest import (
+    drive_states,
+    lasso_run_config,
+    logistic_run_config,
+    quadratic_run_config,
+    run_with_series,
+)
+from etdopt.cli import write_trace_csv
+from etdopt.engine import run, suggested_stepsizes
 from etdopt.graph import Graph, laplacian
 from etdopt.metrics import (
     CertificateError,
+    ErgodicRecorder,
     broadcast_summary,
     consensus_error,
-    ergodic_average,
     ergodic_rate_certificate,
-    ergodic_series,
     objective_gap,
-    primal_residual,
     rate_fit,
     signed_objective_gap,
 )
@@ -22,28 +30,52 @@ from etdopt.objective import (
     CompositeObjective,
     LeastSquaresLoss,
     ScaledL1,
+    ZeroNonsmooth,
+    ZeroSmooth,
     quadratic_minimizer,
 )
 from etdopt.reference import solve_centralized
 
 
-def synthetic_trace(snapshots):
-    """Trace with prescribed per-round primal stacks and exact running sums."""
-    trace = RunTrace(config=None, instance_digest="synthetic")
-    total = np.zeros_like(snapshots[0])
+def zero_objective(n, m):
+    return CompositeObjective([ZeroSmooth(m) for _ in range(n)],
+                              [ZeroNonsmooth(m) for _ in range(n)])
+
+
+def recorded(snapshots, objective=None, lap=None, f_star=0.0, x_star=None):
+    """Series an `ErgodicRecorder` fills from prescribed per-round primal
+    stacks (round k is snapshots[k])."""
+    n, m = np.shape(snapshots[0])
+    objective = zero_objective(n, m) if objective is None else objective
+    lap = np.zeros((n, n)) if lap is None else lap
+    x_star = np.zeros(m) if x_star is None else x_star
+    recorder = ErgodicRecorder(objective, lap, f_star, x_star)
     for k, x in enumerate(snapshots):
-        if k > 0:
-            total = total + x
-        trace.records.append(
-            TraceRecord(
-                k=k,
-                broadcasts=np.ones(x.shape[0], dtype=np.uint8),
-                x=np.asarray(x, dtype=np.float64),
-                z=np.zeros_like(x),
-                ergodic_sum=total.copy(),
-            )
-        )
-    return trace
+        recorder(SimpleNamespace(round=k, x=np.asarray(x, dtype=np.float64)))
+    return recorder.series()
+
+
+def recomputed_series(config, f_star, x_star):
+    """The series from states driven one `run_round` call at a time, with the
+    recorder's expressions written out."""
+    norm_lap = laplacian(config.graph)
+    x_star = x_star[None, :]
+    states = drive_states(config)
+    start = float(np.linalg.norm(states[0].x - x_star))
+    total = np.zeros_like(states[0].x)
+    gap, cons, resid = [], [], []
+    for state in states:
+        k = state.round
+        if k == 0:
+            point = state.x
+        else:
+            total += state.x
+            point = total / k
+        gap.append(config.objective.stacked_value(point) - f_star)
+        cons.append(consensus_error(norm_lap, point))
+        dist = float(np.linalg.norm(state.x - x_star))
+        resid.append(dist / start if start > 0.0 else dist)
+    return np.array(gap), np.array(cons), np.array(resid)
 
 
 def scalar_lasso_objective():
@@ -56,31 +88,74 @@ def scalar_lasso_objective():
 
 class TestErgodicAverage:
     def test_constant_trajectory(self):
-        c = np.full((3, 2), 1.7)
-        trace = synthetic_trace([c] * 6)
-        assert np.allclose(ergodic_average(trace, 5), c)
+        c = np.array([[1.7, 0.2], [1.7, -0.4], [0.9, 0.2]])
+        lap = laplacian(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        series = recorded([c] * 6, lap=lap)
+        assert np.allclose(series.consensus_error, consensus_error(lap, c), rtol=1e-14)
 
     def test_scalar_ramp_mean(self):
         snaps = [np.array([[float(k)]]) for k in range(0, 5)]
-        trace = synthetic_trace(snaps)
-        assert ergodic_average(trace, 4)[0, 0] == pytest.approx(2.5)
+        series = recorded(snaps, objective=scalar_lasso_objective())
+        # mean of rounds 1..4 is 2.5: F(2.5) = (2.5 - 3)^2 / 2 + 2.5
+        assert series.signed_gap[4] == pytest.approx(2.625)
+        assert series.signed_gap[0] == pytest.approx(4.5)  # the start point itself
 
     def test_matches_direct_recomputation(self):
         cfg = lasso_run_config(n=6, rounds=80, schedule="poly:1:1.2")
-        trace = run(cfg)
-        t = 80
+        reference = solve_centralized(cfg.objective, tol=1e-12)
+        _, series = run_with_series(cfg, reference.f_star, reference.x_star)
         direct = np.zeros((6, 5))
-        for k in range(1, t + 1):
-            direct += trace.x_at(k)
-        direct /= t
-        assert np.max(np.abs(ergodic_average(trace, t) - direct)) <= 1e-14
+        for state in drive_states(cfg)[1:]:
+            direct += state.x
+        direct /= 80
+        expected = signed_objective_gap(cfg.objective, direct, reference.f_star)
+        assert series.signed_gap[80] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert series.consensus_error[80] == pytest.approx(
+            consensus_error(laplacian(cfg.graph), direct), rel=1e-12, abs=1e-14)
 
     def test_out_of_range_rejected(self):
-        trace = synthetic_trace([np.zeros((2, 1))] * 3)
+        recorder = ErgodicRecorder(zero_objective(2, 1), np.zeros((2, 2)), 0.0, np.zeros(1))
         with pytest.raises(ValueError):
-            ergodic_average(trace, 0)
+            recorder(SimpleNamespace(round=1, x=np.zeros((2, 1))))  # round 0 not seen
+        recorder(SimpleNamespace(round=0, x=np.zeros((2, 1))))
         with pytest.raises(ValueError):
-            ergodic_average(trace, 3)
+            recorder(SimpleNamespace(round=2, x=np.zeros((2, 1))))  # round 1 skipped
+
+
+class TestStreamedSeries:
+    """The series recorded while `run` happens is bitwise the one recomputed
+    afterwards from states driven by `run_round`."""
+
+    @pytest.mark.parametrize("schedule", ["poly:1:1.2", "exp:1:0.9", "everyN:3", "zero"])
+    def test_bitwise_equal_to_driven_states(self, schedule):
+        cfg = lasso_run_config(n=8, m=4, rounds=150, schedule=schedule)
+        reference = solve_centralized(cfg.objective, tol=1e-12)
+        trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
+        gap, cons, resid = recomputed_series(cfg, reference.f_star, reference.x_star)
+        assert np.array_equal(series.rounds, np.arange(151))
+        assert np.array_equal(series.signed_gap, gap)
+        assert np.array_equal(series.consensus_error, cons)
+        assert np.array_equal(series.primal_residual, resid)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_run_ends_in_sentinel_row(self, tmp_path):
+        cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero",
+                                   enforce_stepsize=False)
+        cfg.eta = np.full(6, 1e-3)  # badly undersized weights blow up
+        x_star = quadratic_minimizer(cfg.objective)
+        f_star = cfg.objective.stacked_value(np.tile(x_star, (6, 1)))
+        with pytest.warns(UserWarning):
+            trace, series = run_with_series(cfg, f_star, x_star)
+        assert trace.diverged
+        gap, cons, resid = recomputed_series(cfg, f_star, x_star)
+        assert series.rounds[-1] == trace.completed_rounds == len(gap) - 1
+        assert np.array_equal(series.signed_gap, gap)
+        assert np.array_equal(series.consensus_error, cons)
+        assert np.array_equal(series.primal_residual, resid)
+        write_trace_csv(tmp_path / "trace.csv", trace, series)
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(gap) + 1
+        assert lines[-1] == f"{trace.diverged_round},nan,nan,nan,nan,nan"
 
 
 class TestConsensusError:
@@ -128,24 +203,22 @@ class TestObjectiveGap:
 
 class TestPrimalResidual:
     def test_round_zero_is_one(self):
-        trace = synthetic_trace([np.zeros((3, 2)), np.ones((3, 2))])
-        x_star = np.array([4.0, -1.0])
-        assert primal_residual(trace, 0, x_star) == pytest.approx(1.0)
+        series = recorded([np.zeros((3, 2)), np.ones((3, 2))], x_star=np.array([4.0, -1.0]))
+        assert series.primal_residual[0] == pytest.approx(1.0)
 
-    def test_zero_denominator_rejected(self):
+    def test_zero_denominator_falls_back_to_distance(self):
         x_star = np.array([1.0, 2.0])
-        trace = synthetic_trace([np.tile(x_star, (3, 1))])
-        with pytest.raises(ValueError):
-            primal_residual(trace, 0, x_star)
+        start = np.tile(x_star, (3, 1))
+        series = recorded([start, start + 1.0], x_star=x_star)
+        assert series.primal_residual[0] == 0.0
+        assert series.primal_residual[1] == pytest.approx(np.sqrt(6.0))
 
     def test_converged_run_residual_small(self):
         cfg = quadratic_run_config(n=8, m=3, seed=4, rounds=2500, schedule="exp:1:0.9")
-        trace = run(cfg)
-        from etdopt.objective import quadratic_minimizer
-
         x_star = quadratic_minimizer(cfg.objective)
-        assert primal_residual(trace, 2500, x_star) <= 1e-4
-        assert primal_residual(trace, 0, x_star) == pytest.approx(1.0)
+        _, series = run_with_series(cfg, 0.0, x_star)
+        assert series.primal_residual[2500] <= 1e-4
+        assert series.primal_residual[0] == pytest.approx(1.0)
 
 
 class TestBroadcastSummary:
@@ -210,68 +283,66 @@ class TestRateFit:
 class TestErgodicRateCertificate:
     def make_run(self, schedule="poly:1:1.2", rounds=400, n=10, **kwargs):
         cfg = lasso_run_config(n=n, m=5, rounds=rounds, schedule=schedule, **kwargs)
-        trace = run(cfg)
         reference = solve_centralized(cfg.objective, tol=1e-12)
-        return cfg, trace, reference
+        trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
+        return cfg, trace, reference, series
 
     def test_trigger_gain_floor_at_one(self):
         # triangle Laplacian: 2 * beta * max-eig = 0.6 < 1
         cfg = lasso_run_config(n=3, m=2, rounds=30, schedule="poly:1:1.2", graph_r=1.0)
         cfg.beta = 0.1
-        trace = run(cfg)
         reference = solve_centralized(cfg.objective, tol=1e-12)
-        cert = ergodic_rate_certificate(cfg, trace, reference)
+        trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
+        cert = ergodic_rate_certificate(cfg, trace, reference, series)
         assert cert.trigger_gain == pytest.approx(1.0)
 
     def test_zero_schedule_budget_is_zero(self):
-        cfg, trace, reference = self.make_run(schedule="zero", rounds=50)
-        cert = ergodic_rate_certificate(cfg, trace, reference)
+        cfg, trace, reference, series = self.make_run(schedule="zero", rounds=50)
+        cert = ergodic_rate_certificate(cfg, trace, reference, series)
         assert np.all(cert.error_budget == 0.0)
 
     def test_bounds_hold_on_triggered_run(self):
-        cfg, trace, reference = self.make_run(schedule="poly:1:1.2", rounds=2000)
-        cert = ergodic_rate_certificate(cfg, trace, reference)
+        cfg, trace, reference, series = self.make_run(schedule="poly:1:1.2", rounds=2000)
+        cert = ergodic_rate_certificate(cfg, trace, reference, series)
         assert cert.consensus_ok
         assert cert.objective_ok
         assert cert.t_values[-1] == 2000
 
     def test_radius_must_exceed_dual_norm(self):
-        cfg, trace, reference = self.make_run(rounds=30)
+        cfg, trace, reference, series = self.make_run(rounds=30)
         with pytest.raises(CertificateError):
-            ergodic_rate_certificate(cfg, trace, reference, dual_radius=0.0)
+            ergodic_rate_certificate(cfg, trace, reference, series, dual_radius=0.0)
 
     def test_periodic_schedule_rejected(self):
-        cfg, trace, reference = self.make_run(schedule="everyN:2", rounds=30)
+        cfg, trace, reference, series = self.make_run(schedule="everyN:2", rounds=30)
         with pytest.raises(CertificateError):
-            ergodic_rate_certificate(cfg, trace, reference)
+            ergodic_rate_certificate(cfg, trace, reference, series)
 
     def test_nonzero_initial_dual_rejected(self):
         cfg = lasso_run_config(n=5, m=3, rounds=20, schedule="zero")
         z0 = np.random.default_rng(1).standard_normal((5, 3))
         cfg.z0 = z0 - z0.mean(axis=0)  # keep the column sums at zero
-        trace = run(cfg)
         reference = solve_centralized(cfg.objective, tol=1e-12)
+        trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
         with pytest.raises(CertificateError):
-            ergodic_rate_certificate(cfg, trace, reference)
+            ergodic_rate_certificate(cfg, trace, reference, series)
 
-    def test_oversized_network_rejected(self):
-        cfg, trace, reference = self.make_run(rounds=10, n=70)
-        with pytest.raises(CertificateError):
-            ergodic_rate_certificate(cfg, trace, reference)
+    def test_network_past_64_nodes_certified(self):
+        cfg, trace, reference, series = self.make_run(rounds=10, n=70)
+        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        assert cert.t_values[-1] == 10
 
     def test_reads_the_series_it_is_given(self):
-        cfg, trace, reference = self.make_run(rounds=60)
-        series = ergodic_series(trace, cfg.objective, laplacian(cfg.graph), reference.f_star)
+        cfg, trace, reference, series = self.make_run(rounds=60)
         assert np.array_equal(series.objective_gap, np.abs(series.signed_gap))
-        own = ergodic_rate_certificate(cfg, trace, reference)
-        given = ergodic_rate_certificate(cfg, trace, reference, series=series)
-        assert np.array_equal(own.objective_measured, series.signed_gap[1:])
-        assert np.array_equal(given.consensus_measured, series.consensus_error[1:])
-        assert own.to_text() == given.to_text()
+        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        assert np.array_equal(cert.t_values, series.rounds[1:])
+        assert np.array_equal(cert.objective_measured, series.signed_gap[1:])
+        assert np.array_equal(cert.consensus_measured, series.consensus_error[1:])
 
     def test_report_text_shape(self):
-        cfg, trace, reference = self.make_run(rounds=50)
-        cert = ergodic_rate_certificate(cfg, trace, reference)
+        cfg, trace, reference, series = self.make_run(rounds=50)
+        cert = ergodic_rate_certificate(cfg, trace, reference, series)
         text = cert.to_text()
         assert "consensus_bound_holds 1" in text
         assert "trigger_gain" in text
@@ -280,12 +351,9 @@ class TestErgodicRateCertificate:
 class TestEmpiricalRegularities:
     def test_gap_mostly_nonincreasing_after_burn_in(self):
         cfg = lasso_run_config(n=10, m=5, rounds=600, schedule="poly:1:1.2")
-        trace = run(cfg)
         reference = solve_centralized(cfg.objective, tol=1e-12)
-        gaps = [
-            objective_gap(cfg.objective, ergodic_average(trace, t), reference.f_star)
-            for t in range(51, 601)
-        ]
+        _, series = run_with_series(cfg, reference.f_star, reference.x_star)
+        gaps = series.objective_gap[51:601].tolist()
         drops = sum(1 for a, b in zip(gaps, gaps[1:]) if b <= a + 1e-15)
         assert drops / (len(gaps) - 1) >= 0.9
 
@@ -319,9 +387,9 @@ class TestLinearRateUnderStrongConvexity:
             cfg.eta, cfg.beta = suggested_stepsizes(cfg.graph, cfg.objective,
                                                     regime="strongly-convex")
             x_star = solve_centralized(cfg.objective, tol=1e-12).x_star
-        trace = run(cfg)
+        trace, series = run_with_series(cfg, 0.0, x_star)
         assert trace.stepsize_margin > 0.0
-        residuals = [(k, primal_residual(trace, k, x_star)) for k in range(1, rounds + 1)]
+        residuals = list(zip(series.rounds[1:], series.primal_residual[1:]))
         fit = rate_fit(residuals, model="semilog")
         assert fit.slope < 0.0
         assert fit.r_squared >= self.R_SQUARED_FLOOR

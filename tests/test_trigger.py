@@ -189,3 +189,26 @@ class TestParseSchedule:
     def test_missing_fields_rejected(self):
         with pytest.raises(ScheduleError):
             parse_schedule("poly:20")
+
+    def test_overflowing_power_rejected(self):
+        with pytest.raises(ScheduleError, match="field 2"):
+            parse_schedule("poly:2^1e5:1")
+
+    def test_complex_power_rejected(self):
+        with pytest.raises(ScheduleError, match="not a real number"):
+            parse_schedule("poly:-8^0.5:1")
+
+    def test_zero_to_negative_power_rejected(self):
+        with pytest.raises(ScheduleError, match="field 3"):
+            parse_schedule("exp:1:0^-1")
+
+    @pytest.mark.parametrize("spec", ["poly:nan:2", "exp:nan:0.5"])
+    def test_nan_base_rejected(self, spec):
+        with pytest.raises(ScheduleError):
+            parse_schedule(spec)
+
+    def test_spec_string_keeps_every_digit(self):
+        assert parse_schedule("poly:20:1.2").spec_string() == "poly:20:1.2"
+        a, b = parse_schedule("poly:1:1.2"), parse_schedule("poly:1.0000001:1.2")
+        assert a.spec_string() != b.spec_string()
+        assert parse_schedule(b.spec_string()) == b
