@@ -21,8 +21,13 @@ from typing import Optional
 import numpy as np
 
 from . import metrics, trigger
-from .engine import VARIANTS, RunConfig, RunTrace, run
-from .graph import check_stepsize_strongly_convex, generate_random_graph, laplacian
+from .engine import RunConfig, RunTrace, run
+from .graph import (
+    GraphConfigError,
+    check_stepsize_strongly_convex,
+    generate_random_graph,
+    laplacian,
+)
 from .objective import (
     CompositeObjective,
     instance_to_text,
@@ -40,7 +45,6 @@ from .reference import (
 
 PROBLEMS = ("lasso", "logistic", "quadratic")
 DEFAULT_ROUNDS = {"lasso": 2000, "logistic": 5000, "quadratic": 2000}
-DEFAULT_VARIANT = {"lasso": "composite", "logistic": "smooth", "quadratic": "smooth"}
 GAP_THRESHOLDS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 CSV_HEADER = "round,objective_gap,consensus_error,primal_residual,broadcasts_agent0,broadcasts_total_cum"
@@ -63,7 +67,6 @@ class ExperimentConfig:
     graph_seed: Optional[int] = None
     beta: float = 0.0025
     eta: tuple = (0.6,)
-    variant: Optional[str] = None
     schedule: str = "poly:20:1.2"
     rounds: Optional[int] = None
     seeds: tuple = (1,)
@@ -79,9 +82,6 @@ class ExperimentConfig:
 
     def effective_rounds(self) -> int:
         return self.rounds if self.rounds is not None else DEFAULT_ROUNDS[self.problem]
-
-    def effective_variant(self) -> str:
-        return self.variant if self.variant is not None else DEFAULT_VARIANT[self.problem]
 
     def eta_vector(self, n: int) -> np.ndarray:
         """One weight per agent: a single entry is repeated, a list of another
@@ -122,7 +122,7 @@ def _apply_key(cfg: dict, key: str, value: str, where: str):
             cfg[key] = int(value) if value else None
         elif key == "eta":
             cfg[key] = _parse_list(value, where, float)
-        elif key in ("variant", "out"):
+        elif key == "out":
             cfg[key] = value
         elif key == "schedule":
             trigger.parse_schedule(value)  # validate early
@@ -166,7 +166,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         (not _positive(cfg.reference_tol), "reference_tol must be positive and finite"),
         (not cfg.seeds, "need at least one seed"),
         (min(cfg.seeds, default=0) < 0 or (cfg.graph_seed or 0) < 0, "seeds must be >= 0"),
-        (cfg.variant not in (None, *VARIANTS), f"unknown variant {cfg.variant!r}"),
     )
     for failed, message in problems:
         if failed:
@@ -444,7 +443,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 eta=cfg.eta_vector(cfg.n),
                 rounds=cfg.effective_rounds(),
                 seed=seed,
-                variant=cfg.effective_variant(),
                 enforce_stepsize=cfg.enforce_stepsize,
             )
             recorder = metrics.ErgodicRecorder(objective, lap, reference.f_star,
@@ -519,12 +517,10 @@ def main(argv=None) -> int:
         "compare": args.compare,
     }
     try:
-        cfg = parse_config(args.config, overrides)
-    except ConfigFileError as err:
+        result = run_experiment(parse_config(args.config, overrides))
+    except (ConfigFileError, GraphConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    result = run_experiment(cfg)
     for run_dir in result.run_dirs:
         print(f"wrote {run_dir}")
     for failure in result.diverged_runs:

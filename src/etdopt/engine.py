@@ -8,9 +8,10 @@ operations:
   A. primal: v = x - (z + grad F(x) + beta L x_tilde) / eta, then the
      objective's stacked prox (the identity for smooth objectives; the
      gradient is zero for regularizer-only ones);
-  B. trigger: agent i broadcasts when ||x_i - x_tilde_i|| exceeds its
-     threshold (any movement for the zero schedule, every N-th round for
-     the periodic one), and its copy becomes x_i;
+  B. trigger: agent i broadcasts when ||x_i - x_tilde_i|| exceeds the
+     round's threshold, which all agents share (any movement for the zero
+     schedule, every N-th round for the periodic one), and its copy
+     becomes x_i;
   C. dual: z + beta L x_tilde on the fully updated copies.
 
 Delivery is implicit: L x_tilde reads every agent's current copy. A stacked
@@ -36,8 +37,6 @@ import numpy as np
 from . import trigger as trig
 from .graph import Graph, check_stepsize_composite, is_connected, laplacian, max_eigenvalue
 from .objective import CompositeObjective, instance_hash
-
-VARIANTS = ("composite", "smooth", "nonsmooth")
 
 
 class ConfigError(ValueError):
@@ -90,9 +89,6 @@ class RunConfig:
     eta: np.ndarray
     rounds: int
     seed: int = 0
-    # A label checked against the objective by `validate`; every variant
-    # runs the same composite step.
-    variant: str = "composite"
     x0: Optional[np.ndarray] = None
     z0: Optional[np.ndarray] = None
     enforce_stepsize: bool = True
@@ -112,8 +108,8 @@ class RunConfig:
         return self.objective.m
 
     def validate(self):
-        """Check shapes, positivity, variant consistency and the stepsize
-        condition. Returns the stepsize check result for reporting."""
+        """Check shapes, positivity and the stepsize condition. Returns the
+        stepsize check result for reporting."""
         g, obj = self.graph, self.objective
         if g.n != obj.n:
             raise ConfigError(f"graph has {g.n} nodes but objective has {obj.n} agents")
@@ -125,12 +121,6 @@ class RunConfig:
             raise ConfigError("eta must be positive, one entry per agent")
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "smooth" and not obj.is_smooth:
-            raise ConfigError("smooth variant requires every nonsmooth part to be zero")
-        if self.variant == "nonsmooth" and not obj.is_nonsmooth_only:
-            raise ConfigError("nonsmooth variant requires every smooth part to be zero")
         for name, arr in (("x0", self.x0), ("z0", self.z0)):
             if arr is not None and np.asarray(arr).shape != (g.n, obj.m):
                 raise ConfigError(f"{name} must have shape ({g.n}, {obj.m})")
@@ -221,7 +211,7 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
     if schedule.kind == trig.EVERY_N:
         fired = np.full(config.n, k % schedule.period == 0)
     else:
-        fired = trig.row_norms(x - state.x_tilde) > trig.thresholds(schedule, config.n, k)
+        fired = trig.row_norms(x - state.x_tilde) > trig.threshold(schedule, k)
     x_tilde = np.where(fired[:, None], x, state.x_tilde)
 
     z = dual_step(state.z, lap, x_tilde, beta)
@@ -350,7 +340,7 @@ def run(config: RunConfig, instance_digest: Optional[str] = None,
         x_k, z_k = state.x, state.z
 
         if event_rule:
-            slack = trig.row_norms(x_k - state.x_tilde) - trig.thresholds(config.schedule, n, k)
+            slack = trig.row_norms(x_k - state.x_tilde) - trig.threshold(config.schedule, k)
             trace.max_trigger_slack = max(trace.max_trigger_slack, float(np.max(slack)))
         z_scale = float(np.max(np.abs(z_k))) if z_k.size else 0.0
         if z_scale > 0.0:

@@ -19,6 +19,10 @@ class GraphConfigError(ValueError):
     """Rejected graph configuration (infeasible edge count, bad ratio, ...)."""
 
 
+# Connected samples tried by `generate_random_graph` before it gives up.
+_MAX_ATTEMPTS = 1000
+
+
 class StepsizeCheck(NamedTuple):
     ok: bool
     margin: float
@@ -74,7 +78,7 @@ class Graph:
         return lap
 
 
-def generate_random_graph(n: int, r: float, seed: int, max_attempts: int = 1000) -> Graph:
+def generate_random_graph(n: int, r: float, seed: int) -> Graph:
     """Sample a connected graph with round(r * n(n-1)/2) edges, uniformly.
 
     `r` is the fraction of all possible links that are present. Sampling is
@@ -92,7 +96,7 @@ def generate_random_graph(n: int, r: float, seed: int, max_attempts: int = 1000)
             f"edge budget {m_edges} cannot connect {n} nodes (needs >= {n - 1})"
         )
     iu, ju = np.triu_indices(n, 1)
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
         pick = rng.choice(total, size=m_edges, replace=False)
         pick.sort()
@@ -100,7 +104,7 @@ def generate_random_graph(n: int, r: float, seed: int, max_attempts: int = 1000)
         if is_connected(g):
             return g
     raise GraphConfigError(
-        f"no connected graph with {m_edges} edges on {n} nodes after {max_attempts} attempts"
+        f"no connected graph with {m_edges} edges on {n} nodes after {_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -140,47 +144,46 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def laplacian_norm(lap: np.ndarray):
-    """The map v -> sqrt(sum over coordinates of v^T lap v), with lap's
-    structure read once; the square-root factor of lap is never formed.
+    """The map v -> sqrt(sum over coordinates of v^T lap v) for a graph
+    Laplacian lap (zero row sums, nonpositive off-diagonal; any other matrix
+    raises ValueError), with lap's structure read once; the square-root
+    factor of lap is never formed.
 
-    For an exact Laplacian (zero row sums, nonpositive off-diagonal) the
-    quadratic form is expanded over edge differences, which is exact at
-    consensus points where the matrix-product route leaves sqrt(eps) noise.
+    The quadratic form is expanded over edge differences, which is exact at
+    consensus points where a matrix product leaves sqrt(eps) noise.
     """
     lap = np.asarray(lap, dtype=np.float64)
     n = lap.shape[0]
     off = lap - np.diag(np.diag(lap))
-    exact = bool(np.all(lap @ np.ones(n) == 0.0) and np.all(off <= 0.0))
-    if exact:
-        ii, jj = np.nonzero(np.triu(off, 1) != 0.0)
-        weights = -lap[ii, jj]
-        # Edge-difference buffers, kept between calls: fresh arrays of this
-        # size cost more in page faults than the arithmetic on them.
-        buffers = {}
+    if not (np.all(lap @ np.ones(n) == 0.0) and np.all(off <= 0.0)):
+        raise ValueError("expected a graph Laplacian: zero row sums, nonpositive off-diagonal")
+    ii, jj = np.nonzero(np.triu(off, 1) != 0.0)
+    weights = -lap[ii, jj]
+    # Edge-difference buffers, kept between calls: fresh arrays of this size
+    # cost more in page faults than the arithmetic on them.
+    buffers = {}
 
     def norm(v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
         mat = v[:, None] if v.ndim == 1 else v
-        if exact:
-            shape = (ii.size, mat.shape[1])
-            if shape not in buffers:
-                buffers.clear()
-                buffers[shape] = (np.empty(shape), np.empty(shape))
-            diff, other = buffers[shape]
-            np.take(mat, ii, axis=0, out=diff)
-            np.take(mat, jj, axis=0, out=other)
-            np.subtract(diff, other, out=diff)
-            quad = float(weights @ np.einsum("em,em->e", diff, diff))
-        else:
-            quad = float(np.sum(mat * (lap @ mat)))
+        shape = (ii.size, mat.shape[1])
+        if shape not in buffers:
+            buffers.clear()
+            buffers[shape] = (np.empty(shape), np.empty(shape))
+        diff, other = buffers[shape]
+        np.take(mat, ii, axis=0, out=diff)
+        np.take(mat, jj, axis=0, out=other)
+        np.subtract(diff, other, out=diff)
+        quad = float(weights @ np.einsum("em,em->e", diff, diff))
         return float(np.sqrt(max(quad, 0.0)))
 
     return norm
 
 
 def laplacian_quadratic_norm(lap: np.ndarray, v: np.ndarray) -> float:
-    """sqrt(sum over coordinates of v^T lap v); see `laplacian_norm`, which
-    serves many vectors on one matrix."""
+    """sqrt(sum over coordinates of v^T lap v), the consensus error of the
+    rows of v; see `laplacian_norm`, which serves many vectors on one
+    matrix."""
     return laplacian_norm(lap)(v)
 
 
@@ -244,60 +247,15 @@ def check_stepsize_composite(eta, beta: float, lap: np.ndarray, lipschitz) -> St
 def check_stepsize_strongly_convex(
     eta, beta: float, lap: np.ndarray, lipschitz, strong_convexity, k1: float
 ) -> StepsizeCheck:
-    """Stricter margin used in the strongly convex regime.
+    """Stricter margin used in the strongly convex regime: the composite
+    margin of diag(eta) - beta*lap - diag(lipschitz**2)/k1.
 
-    Requires 0 < k1 < 2*min(strong_convexity); checks
-    diag(eta) - beta*lap - diag(lipschitz**2)/k1 for positive definiteness
-    and asserts 2*diag(strong_convexity) - k1*I is positive definite.
+    Requires 0 < k1 < 2*min(strong_convexity), so that
+    2*diag(strong_convexity) - k1*I is positive definite.
     """
-    lap = _check_symmetric(lap)
-    n = lap.shape[0]
-    eta = _as_diag_vector(eta, n, "eta")
-    lf = _as_diag_vector(lipschitz, n, "lipschitz")
-    mu = _as_diag_vector(strong_convexity, n, "strong_convexity")
-    if np.any(eta <= 0):
-        raise ValueError("all eta entries must be positive")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    mu_min = float(np.min(mu))
+    n = np.shape(lap)[0]
+    mu_min = float(np.min(_as_diag_vector(strong_convexity, n, "strong_convexity")))
     if not (0.0 < k1 < 2.0 * mu_min):
         raise ValueError(f"k1 must lie in (0, {2.0 * mu_min}), got {k1}")
-    q_min = 2.0 * mu_min - k1
-    assert q_min > 0.0
-    mat = np.diag(eta) - beta * lap - np.diag(lf**2) / k1
-    margin = min_eigenvalue(mat)
-    return StepsizeCheck(margin > 0.0, margin)
-
-
-def graph_to_text(g: Graph) -> str:
-    """Plain edge-list format: first line "n m", then one "i j" line per edge."""
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    """Inverse of `graph_to_text`; malformed text raises GraphConfigError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise GraphConfigError("empty edge-list text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphConfigError(f"bad header line: {lines[0]!r}")
-    n, m = _ints(head, lines[0])
-    if len(lines) - 1 != m:
-        raise GraphConfigError(f"header declares {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphConfigError(f"bad edge line: {ln!r}")
-        edges.append(_ints(parts, ln))
-    return Graph.from_edges(n, edges)
-
-
-def _ints(tokens, line: str) -> tuple:
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError:
-        raise GraphConfigError(f"expected integers, got {line!r}") from None
+    lf = _as_diag_vector(lipschitz, n, "lipschitz")
+    return check_stepsize_composite(eta, beta, lap, lf**2 / k1)

@@ -30,11 +30,6 @@ class CertificateError(ValueError):
     """Certificate preconditions not met."""
 
 
-def consensus_error(lap: np.ndarray, v: np.ndarray) -> float:
-    """Laplacian seminorm sqrt(sum_coord v^T L v); zero iff all rows agree."""
-    return laplacian_norm(lap)(v)
-
-
 def signed_objective_gap(objective: CompositeObjective, v: np.ndarray, f_star: float) -> float:
     return objective.stacked_value(v) - f_star
 
@@ -281,9 +276,7 @@ def ergodic_rate_certificate(
 
     # Threshold budget: cumulative network-wide envelope sums through t-1.
     max_t = int(t_values[-1])
-    envelope = np.array(
-        [trig.max_threshold_envelope(config.schedule, n, k) for k in range(max_t)]
-    )
+    envelope = np.array([trig.threshold_envelope(config.schedule, k) for k in range(max_t)])
     cum_env = np.cumsum(envelope)
     budget = (2.0 * trigger_gain * np.sqrt(n) / residual_gain) * cum_env[t_values - 1]
 

@@ -93,7 +93,7 @@ class LogisticLoss:
             raise ValueError("need features (s, m) and labels (s,)")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be +/-1")
-        if ridge < 0.0:
+        if not ridge >= 0.0:
             raise ValueError(f"ridge must be >= 0, got {ridge}")
         self.ridge = float(ridge)
         self.m = self.features.shape[1]
@@ -128,7 +128,7 @@ class DiagonalQuadraticLoss:
         self.center = np.asarray(center, dtype=np.float64)
         if self.diag.shape != self.center.shape or self.diag.ndim != 1:
             raise ValueError("diag and center must be 1-D with matching shape")
-        if np.any(self.diag <= 0):
+        if not np.all(self.diag > 0):
             raise ValueError("diagonal curvature must be positive")
         self.m = self.diag.shape[0]
         self.lipschitz = float(np.max(self.diag))
@@ -163,7 +163,7 @@ class ScaledL1:
     is_zero = False
 
     def __init__(self, tau: float, m: int):
-        if tau < 0.0:
+        if not tau >= 0.0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         self.tau = float(tau)
         self.m = m
@@ -304,14 +304,6 @@ class CompositeObjective:
     @property
     def m(self) -> int:
         return self.smooth[0].m
-
-    @property
-    def is_smooth(self) -> bool:
-        return all(g.is_zero for g in self.nonsmooth)
-
-    @property
-    def is_nonsmooth_only(self) -> bool:
-        return all(f.is_zero for f in self.smooth)
 
     def lipschitz(self) -> np.ndarray:
         return np.array([f.lipschitz for f in self.smooth])

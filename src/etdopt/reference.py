@@ -55,18 +55,18 @@ class _PooledSmooth:
 
 def solve_centralized(
     objective: CompositeObjective, tol: float = 1e-10, max_iter: int = 1_000_000,
-    x0: np.ndarray | None = None,
 ) -> ReferenceSolution:
-    """Proximal gradient on the summed objective with fixed step 1/l,
-    l being the sum of the per-agent gradient Lipschitz bounds. The gradient
-    is taken through the pooled losses of `_PooledSmooth`.
+    """Proximal gradient on the summed objective, started at zero, with
+    fixed step 1/l, l being the sum of the per-agent gradient Lipschitz
+    bounds. The gradient is taken through the pooled losses of
+    `_PooledSmooth`.
 
     Stops when the prox-gradient mapping norm drops to `tol`; an exhausted
     iteration budget returns the best point flagged as non-certified. Pure
     diagonal-quadratic instances short-circuit to their closed form.
     """
     m = objective.m
-    theta = np.zeros(m) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    theta = np.zeros(m)
     smooth = _PooledSmooth(objective)
 
     if (

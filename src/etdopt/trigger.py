@@ -1,7 +1,8 @@
 """Broadcast threshold schedules and the event-trigger decision.
 
-A schedule assigns each agent a per-round threshold on the deviation between
-its true iterate and its last broadcast copy. Supported kinds:
+One schedule is shared by all agents: at round k every agent compares the
+deviation between its true iterate and its last broadcast copy with the same
+threshold. Supported kinds:
 
 * ``poly``    -- E0 / k**p with p > 1 (summable)
 * ``exp``     -- E0 * rho**k with 0 < rho < 1 (summable)
@@ -11,7 +12,7 @@ its true iterate and its last broadcast copy. Supported kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,6 @@ class TriggerSchedule:
     p: float = 0.0
     rho: float = 0.0
     period: int = 0
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind == POLYNOMIAL:
@@ -53,28 +53,18 @@ class TriggerSchedule:
                 raise ScheduleError(f"period must be >= 1, got {self.period}")
         else:
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        for agent, sub in self.overrides.items():
-            if not isinstance(sub, TriggerSchedule):
-                raise ScheduleError(f"override for agent {agent} is not a schedule")
-            if sub.overrides:
-                raise ScheduleError("nested overrides are not supported")
 
     @property
     def is_event_rule(self) -> bool:
         """False for the periodic scheme, which ignores deviations."""
-        if self.kind == EVERY_N:
-            return False
-        return all(s.is_event_rule for s in self.overrides.values())
+        return self.kind != EVERY_N
 
     @property
     def is_summable(self) -> bool:
-        if self.kind == EVERY_N:
-            return False
-        return all(s.is_summable for s in self.overrides.values())
+        return self.kind != EVERY_N
 
     def spec_string(self) -> str:
-        """The spec `parse_schedule` reads back as this schedule (without
-        overrides)."""
+        """The spec `parse_schedule` reads back as this schedule."""
         if self.kind == POLYNOMIAL:
             return f"poly:{_spec_number(self.e0)}:{_spec_number(self.p)}"
         if self.kind == EXPONENTIAL:
@@ -107,8 +97,8 @@ def every_n(period: int) -> TriggerSchedule:
     return TriggerSchedule(kind=EVERY_N, period=int(period))
 
 
-def threshold(schedule: TriggerSchedule, agent: int, k: int) -> Optional[float]:
-    """Threshold for the given agent at round k >= 1.
+def threshold(schedule: TriggerSchedule, k: int) -> Optional[float]:
+    """Every agent's threshold at round k >= 1.
 
     Round 0 is an unconditional broadcast, so k = 0 is a contract violation.
     Returns None for the periodic kind: the engine consults the modulus rule
@@ -116,17 +106,16 @@ def threshold(schedule: TriggerSchedule, agent: int, k: int) -> Optional[float]:
     """
     if k < 1:
         raise ValueError(f"threshold is defined for rounds k >= 1, got k={k}")
-    sched = schedule.overrides.get(agent, schedule)
-    if sched.kind == POLYNOMIAL:
-        return sched.e0 / float(k) ** sched.p
-    if sched.kind == EXPONENTIAL:
-        return sched.e0 * sched.rho**k
-    if sched.kind == ZERO:
+    if schedule.kind == POLYNOMIAL:
+        return schedule.e0 / float(k) ** schedule.p
+    if schedule.kind == EXPONENTIAL:
+        return schedule.e0 * schedule.rho**k
+    if schedule.kind == ZERO:
         return 0.0
     return None
 
 
-def threshold_envelope(schedule: TriggerSchedule, agent: int, k: int) -> float:
+def threshold_envelope(schedule: TriggerSchedule, k: int) -> float:
     """Summable bound on the broadcast deviation at round k >= 0.
 
     Matches `threshold` for k >= 1. At k = 0 the deviation is exactly zero
@@ -137,28 +126,13 @@ def threshold_envelope(schedule: TriggerSchedule, agent: int, k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"round must be >= 0, got {k}")
-    sched = schedule.overrides.get(agent, schedule)
-    if sched.kind == EVERY_N:
+    if schedule.kind == EVERY_N:
         raise ScheduleError("periodic schedules have no summable threshold envelope")
     if k == 0:
-        if sched.kind == ZERO:
+        if schedule.kind == ZERO:
             return 0.0
-        return sched.e0
-    return threshold(schedule, agent, k)
-
-
-def max_threshold_envelope(schedule: TriggerSchedule, n: int, k: int) -> float:
-    """Envelope maximized over all n agents (the network-wide bound)."""
-    if not schedule.overrides:
-        return threshold_envelope(schedule, 0, k)
-    return max(threshold_envelope(schedule, i, k) for i in range(n))
-
-
-def thresholds(schedule: TriggerSchedule, n: int, k: int) -> np.ndarray:
-    """`threshold` of each of n agents at round k >= 1, for an event rule."""
-    if not schedule.overrides:
-        return np.full(n, threshold(schedule, 0, k))
-    return np.array([threshold(schedule, i, k) for i in range(n)])
+        return schedule.e0
+    return threshold(schedule, k)
 
 
 # Outside these bounds on a row's largest entry, squaring the row's entries

@@ -38,7 +38,6 @@ def lasso_run_config(n=10, p=3, m=5, tau=0.1, seed=1, schedule="zero", rounds=10
         eta=eta,
         rounds=rounds,
         seed=seed,
-        variant="composite",
         **kwargs,
     )
 
@@ -56,7 +55,6 @@ def quadratic_run_config(n=10, m=3, seed=1, schedule="zero", rounds=100, graph_r
         eta=eta,
         rounds=rounds,
         seed=seed,
-        variant="smooth",
         **kwargs,
     )
 
@@ -74,14 +72,13 @@ def logistic_run_config(n=10, m_i=8, m=10, seed=1, ridge=0.1, schedule="zero",
         eta=eta,
         rounds=rounds,
         seed=seed,
-        variant="smooth",
         **kwargs,
     )
 
 
 def pure_l1_run_config(n=8, m=4, tau=0.3, seed=2, schedule="zero", rounds=100,
                        graph_r=0.5, x0_scale=1.0, **kwargs):
-    """All-zero smooth parts: the regularizer-only variant."""
+    """All-zero smooth parts: a regularizer-only objective."""
     smooth = [ZeroSmooth(m) for _ in range(n)]
     nonsmooth = [ScaledL1(tau, m) for _ in range(n)]
     objective = CompositeObjective(smooth, nonsmooth)
@@ -97,7 +94,6 @@ def pure_l1_run_config(n=8, m=4, tau=0.3, seed=2, schedule="zero", rounds=100,
         eta=lam,
         rounds=rounds,
         seed=seed,
-        variant="nonsmooth",
         x0=x0,
         **kwargs,
     )
@@ -121,7 +117,6 @@ def consensus_run_config(n=12, m=3, seed=3, schedule="zero", rounds=200, graph_r
         eta=np.ones(n),
         rounds=rounds,
         seed=seed,
-        variant="smooth",
         x0=x0,
         **kwargs,
     )

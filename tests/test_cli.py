@@ -18,7 +18,9 @@ from etdopt.cli import (
     parse_config,
     run_experiment,
 )
-from etdopt.objective import instance_hash
+from etdopt.engine import suggested_stepsizes
+from etdopt.graph import generate_random_graph
+from etdopt.objective import instance_hash, make_lasso_instance
 from etdopt.reference import reference_from_text
 
 
@@ -109,11 +111,9 @@ class TestParseConfig:
         with pytest.raises(ConfigFileError):
             parse_config(str(path))
 
-    def test_problem_variant_defaults(self):
-        assert ExperimentConfig(problem="lasso").effective_variant() == "composite"
-        assert ExperimentConfig(problem="logistic").effective_variant() == "smooth"
-        assert ExperimentConfig(problem="quadratic").effective_variant() == "smooth"
+    def test_problem_round_defaults(self):
         assert ExperimentConfig(problem="logistic").effective_rounds() == 5000
+        assert ExperimentConfig(problem="quadratic").effective_rounds() == 2000
 
 
 class TestRunExperiment:
@@ -234,6 +234,31 @@ class TestGapReductionOnDefaults:
         assert gap[2000] < gap[200]
 
 
+class TestNonDegenerateLasso:
+    def test_certificate_holds_where_the_minimizer_is_not_zero(self, tmp_path):
+        # The default lasso (tau 0.1) is solved at x* = 0 and runs at stepsize
+        # margin -0.965. At tau 0.01 the minimizer has nonzero entries, and
+        # the suggested stepsizes give a positive margin.
+        objective, _ = make_lasso_instance(100, 3, 50, tau=0.01, seed=1)
+        eta, beta = suggested_stepsizes(generate_random_graph(100, 0.4, 1), objective)
+        cfg = parse_config(None, {
+            "tau": 0.01, "rounds": 500, "certificate": True, "out": str(tmp_path / "runs"),
+            "beta": repr(float(beta)), "eta": ",".join(repr(float(e)) for e in eta)})
+        result = run_experiment(cfg)
+        assert result.exit_code == 0
+        (run_dir,) = result.run_dirs
+        summary = dict(line.partition(" ")[::2]
+                       for line in (run_dir / "summary.txt").read_text().splitlines())
+        (ref_path,) = (tmp_path / "runs" / "cache").glob("reference_*.txt")
+        reference, _ = reference_from_text(ref_path.read_text())
+        assert reference.certified
+        assert np.count_nonzero(reference.x_star) > 0
+        assert float(summary["stepsize_margin"]) > 0.0
+        assert float(summary["max_trigger_slack"]) <= 0.0
+        assert summary["consensus_bound_holds"] == "1"
+        assert summary["objective_bounds_hold"] == "1"
+
+
 class TestCompareSchedules:
     def test_zero_against_itself_ratio_one(self, tmp_path):
         cfg = small_cfg(tmp_path, compare=("zero",), rounds=800)
@@ -324,6 +349,22 @@ class TestMain:
     def test_overflowing_schedule_flag_exits_2(self, tmp_path, capsys):
         assert main(["--schedule", "poly:2^1e5:1", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_removed_variant_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "variant.cfg"
+        cfg_path.write_text("variant = smooth\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key 'variant'" in err
+
+    def test_unconnectable_graph_exits_2(self, tmp_path, capsys):
+        # an edge budget of round(0.1 * 10) = 1 cannot connect 5 nodes
+        cfg_path = tmp_path / "sparse.cfg"
+        cfg_path.write_text("n = 5\ngraph_r = 0.1\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--rounds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot connect 5 nodes" in err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2

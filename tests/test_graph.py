@@ -14,10 +14,9 @@ from etdopt.graph import (
     check_stepsize_strongly_convex,
     eigh,
     generate_random_graph,
-    graph_from_text,
-    graph_to_text,
     is_connected,
     laplacian,
+    laplacian_norm,
     laplacian_quadratic_norm,
     max_eigenvalue,
     min_eigenvalue,
@@ -217,6 +216,14 @@ class TestLaplacianQuadraticNorm:
         explicit = np.linalg.norm(sqrt_lap @ vec)
         assert direct == pytest.approx(explicit, abs=1e-12)
 
+    @pytest.mark.parametrize("mat", [
+        np.eye(3),                              # nonzero row sums
+        np.array([[-1.0, 1.0], [1.0, -1.0]]),   # positive off-diagonal
+    ])
+    def test_non_laplacian_rejected(self, mat):
+        with pytest.raises(ValueError, match="Laplacian"):
+            laplacian_norm(mat)
+
     def test_laplacian_built_once_per_graph(self):
         g = generate_random_graph(12, 0.4, seed=9)
         lap = laplacian(g)
@@ -259,6 +266,16 @@ class TestStepsizeChecks:
         assert not ok
         assert margin == pytest.approx(-0.3, abs=1e-8)
 
+    def test_strongly_convex_is_composite_with_squared_lipschitz(self):
+        lap = laplacian(generate_random_graph(20, 0.3, seed=5))
+        rng = np.random.default_rng(6)
+        eta, lf, mu = rng.uniform(1.0, 3.0, (3, 20))
+        k1 = 0.7 * float(np.min(mu))
+        strong = check_stepsize_strongly_convex(eta, 0.05, lap, lf, mu, k1)
+        composite = check_stepsize_composite(eta, 0.05, lap, lf**2 / k1)
+        assert strong.margin == composite.margin  # bitwise
+        assert strong.ok == composite.ok
+
     def test_k1_range_is_open(self):
         with pytest.raises(ValueError):
             check_stepsize_strongly_convex(
@@ -268,28 +285,3 @@ class TestStepsizeChecks:
     def test_returns_named_tuple(self):
         result = check_stepsize_composite(1.5, 0.1, laplacian(triangle()), 1.0)
         assert isinstance(result, StepsizeCheck)
-
-
-class TestEdgeListRoundTrip:
-    def test_bit_exact_round_trip(self):
-        g = generate_random_graph(25, 0.3, seed=4)
-        text = graph_to_text(g)
-        g2 = graph_from_text(text)
-        assert g2 == g
-        assert graph_to_text(g2) == text
-
-    def test_header_shape(self):
-        text = graph_to_text(path3())
-        assert text.splitlines()[0] == "3 2"
-
-    def test_malformed_header_rejected(self):
-        with pytest.raises(GraphConfigError):
-            graph_from_text("3\n0 1\n")
-
-    def test_non_integer_edge_rejected(self):
-        with pytest.raises(GraphConfigError, match="integers"):
-            graph_from_text("3 1\n0 1.5\n")
-
-    def test_non_integer_header_rejected(self):
-        with pytest.raises(GraphConfigError, match="integers"):
-            graph_from_text("3 x\n0 1\n")

@@ -15,12 +15,11 @@ from conftest import (
 )
 from etdopt.cli import write_trace_csv
 from etdopt.engine import run, suggested_stepsizes
-from etdopt.graph import Graph, laplacian
+from etdopt.graph import Graph, laplacian, laplacian_quadratic_norm
 from etdopt.metrics import (
     CertificateError,
     ErgodicRecorder,
     broadcast_summary,
-    consensus_error,
     ergodic_rate_certificate,
     objective_gap,
     rate_fit,
@@ -72,7 +71,7 @@ def recomputed_series(config, f_star, x_star):
             total += state.x
             point = total / k
         gap.append(config.objective.stacked_value(point) - f_star)
-        cons.append(consensus_error(norm_lap, point))
+        cons.append(laplacian_quadratic_norm(norm_lap, point))
         dist = float(np.linalg.norm(state.x - x_star))
         resid.append(dist / start if start > 0.0 else dist)
     return np.array(gap), np.array(cons), np.array(resid)
@@ -91,7 +90,7 @@ class TestErgodicAverage:
         c = np.array([[1.7, 0.2], [1.7, -0.4], [0.9, 0.2]])
         lap = laplacian(Graph.from_edges(3, [(0, 1), (1, 2)]))
         series = recorded([c] * 6, lap=lap)
-        assert np.allclose(series.consensus_error, consensus_error(lap, c), rtol=1e-14)
+        assert np.allclose(series.consensus_error, laplacian_quadratic_norm(lap, c), rtol=1e-14)
 
     def test_scalar_ramp_mean(self):
         snaps = [np.array([[float(k)]]) for k in range(0, 5)]
@@ -111,7 +110,7 @@ class TestErgodicAverage:
         expected = signed_objective_gap(cfg.objective, direct, reference.f_star)
         assert series.signed_gap[80] == pytest.approx(expected, rel=1e-12, abs=1e-14)
         assert series.consensus_error[80] == pytest.approx(
-            consensus_error(laplacian(cfg.graph), direct), rel=1e-12, abs=1e-14)
+            laplacian_quadratic_norm(laplacian(cfg.graph), direct), rel=1e-12, abs=1e-14)
 
     def test_out_of_range_rejected(self):
         recorder = ErgodicRecorder(zero_objective(2, 1), np.zeros((2, 2)), 0.0, np.zeros(1))
@@ -162,14 +161,14 @@ class TestConsensusError:
     def test_uniform_rows_give_zero(self):
         lap = laplacian(Graph.from_edges(3, [(0, 1), (1, 2)]))
         v = np.tile(np.array([2.0, -1.0]), (3, 1))
-        assert consensus_error(lap, v) == 0.0
+        assert laplacian_quadratic_norm(lap, v) == 0.0
 
     def test_pair_value_from_matrix_product_oracle(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         v = np.array([[1.0], [0.0]])
         expected = float(np.sqrt(v[:, 0] @ (lap @ v[:, 0])))  # explicit 2x2 product
         assert expected == pytest.approx(1.0)
-        assert consensus_error(lap, v) == pytest.approx(expected, abs=1e-15)
+        assert laplacian_quadratic_norm(lap, v) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_eigendecomposition_square_root(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -178,7 +177,7 @@ class TestConsensusError:
         sqrt_lap = vecs @ np.diag(np.sqrt(np.clip(w, 0, None))) @ vecs.T
         rng = np.random.default_rng(5)
         v = rng.standard_normal((4, 3))
-        assert consensus_error(lap, v) == pytest.approx(
+        assert laplacian_quadratic_norm(lap, v) == pytest.approx(
             float(np.linalg.norm(sqrt_lap @ v)), abs=1e-12
         )
 

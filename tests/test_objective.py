@@ -1,5 +1,7 @@
 """Tests for composite objectives, generators, and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,20 +241,24 @@ class TestQuadraticInstance:
             check_curvature_bounds(part, rng, pairs=25)
 
 
+class TestNanParametersRejected:
+    def test_l1_weight(self):
+        with pytest.raises(ValueError):
+            ScaledL1(float("nan"), 3)
+
+    def test_logistic_ridge(self):
+        with pytest.raises(ValueError):
+            LogisticLoss(np.ones((1, 2)), np.ones(1), ridge=float("nan"))
+
+    def test_quadratic_curvature(self):
+        with pytest.raises(ValueError):
+            DiagonalQuadraticLoss(np.array([np.nan]), np.zeros(1))
+
+
 class TestCompositeObjective:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CompositeObjective([ZeroSmooth(3)], [ZeroNonsmooth(4)])
-
-    def test_variant_flags(self):
-        obj, _ = make_lasso_instance(2, 2, 3, 0.1, seed=0)
-        assert not obj.is_smooth and not obj.is_nonsmooth_only
-        quad = make_quadratic_instance(2, 3, seed=0)
-        assert quad.is_smooth
-        pure = CompositeObjective(
-            [ZeroSmooth(3), ZeroSmooth(3)], [ScaledL1(1.0, 3), ScaledL1(1.0, 3)]
-        )
-        assert pure.is_nonsmooth_only
 
     def test_stacked_methods_match_per_agent_parts(self):
         # two least-squares shapes, ridge-logistic, quadratic and zero parts,
@@ -320,6 +326,13 @@ class TestSerialization:
         a = instance_hash(make_quadratic_instance(3, 4, seed=1))
         b = instance_hash(make_quadratic_instance(3, 4, seed=2))
         assert a != b
+
+    def test_nan_l1_weight_rejected(self):
+        text = instance_to_text(make_lasso_instance(2, 2, 3, 0.15, seed=12)[0])
+        text, count = re.subn(r"(?m)^tau .*$", "tau nan", text)
+        assert count == 1
+        with pytest.raises(ValueError):
+            instance_from_text(text)
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):

@@ -5,20 +5,16 @@ that is truncated, mutated or plain garbage is either parsed or rejected with
 the parser's declared error and nothing else:
 
     instance_from_text, reference_from_text -> ValueError
-    graph_from_text -> GraphConfigError
     parse_schedule -> ScheduleError
     parse_config -> ConfigFileError
 """
 
-import re
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdopt.cli import ConfigFileError, ExperimentConfig, parse_config
-from etdopt.graph import Graph, GraphConfigError, graph_from_text, graph_to_text
 from etdopt.objective import (
     instance_from_text,
     instance_to_text,
@@ -159,40 +155,6 @@ class TestReferenceText:
         rejects_only(reference_from_text, ValueError, text)
 
 
-# -- graphs ------------------------------------------------------------------
-
-@st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 12))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph.from_edges(n, edges)
-
-
-# A node count is a list of that many entries, so mutated text that names a
-# node count of five digits or more is skipped rather than allocated.
-LARGE_NUMBER = re.compile(r"\d{5,}")
-
-
-class TestGraphText:
-    @FUZZ
-    @given(g=graphs())
-    def test_round_trip(self, g):
-        assert graph_from_text(graph_to_text(g)) == g
-
-    @FUZZ
-    @given(text=mutated(graphs().map(graph_to_text)))
-    def test_mutated_text_raises_only_graph_error(self, text):
-        assume(not LARGE_NUMBER.search(text))
-        rejects_only(graph_from_text, GraphConfigError, text)
-
-    @FUZZ
-    @given(text=garbage())
-    def test_garbage_raises_only_graph_error(self, text):
-        assume(not LARGE_NUMBER.search(text))
-        rejects_only(graph_from_text, GraphConfigError, text)
-
-
 # -- schedules ---------------------------------------------------------------
 
 schedules = st.one_of(
@@ -255,7 +217,6 @@ def configs(draw):
         beta=draw(POSITIVE),
         eta=tuple(draw(st.lists(POSITIVE, min_size=1, max_size=1) | st.lists(
             POSITIVE, min_size=n, max_size=n))),
-        variant=draw(st.none() | st.sampled_from(("composite", "smooth", "nonsmooth"))),
         schedule=draw(SPECS),
         rounds=draw(st.none() | st.integers(0, 10**5)),
         seeds=tuple(draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4))),
@@ -281,7 +242,7 @@ def config_text(cfg: ExperimentConfig) -> str:
         "enforce_stepsize": str(cfg.enforce_stepsize).lower(),
         "compare": ", ".join(cfg.compare),
     }
-    for key in ("variant", "rounds", "dual_radius"):
+    for key in ("rounds", "dual_radius"):
         if getattr(cfg, key) is not None:
             keys[key] = repr(getattr(cfg, key)).strip("'")
     return "# written by the round-trip test\n" + "".join(

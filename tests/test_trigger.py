@@ -9,7 +9,6 @@ from etdopt.trigger import (
     ScheduleError,
     every_n,
     exponential,
-    max_threshold_envelope,
     parse_schedule,
     polynomial,
     row_norms,
@@ -22,31 +21,22 @@ from etdopt.trigger import (
 
 class TestThreshold:
     def test_polynomial_first_round(self):
-        assert threshold(polynomial(20.0, 1.2), agent=0, k=1) == 20.0
+        assert threshold(polynomial(20.0, 1.2), k=1) == 20.0
 
     def test_exponential_reparameterized_decade(self):
         # ratio 0.9**0.1 gives 0.9 after ten rounds
         sched = exponential(1.0, 0.9**0.1)
-        assert threshold(sched, agent=0, k=10) == pytest.approx(0.9, rel=1e-12)
+        assert threshold(sched, k=10) == pytest.approx(0.9, rel=1e-12)
 
     def test_zero_any_round(self):
-        assert threshold(zero(), agent=3, k=17) == 0.0
+        assert threshold(zero(), k=17) == 0.0
 
     def test_round_zero_is_contract_violation(self):
         with pytest.raises(ValueError):
-            threshold(polynomial(1.0, 2.0), agent=0, k=0)
+            threshold(polynomial(1.0, 2.0), k=0)
 
     def test_every_n_returns_marker(self):
-        assert threshold(every_n(4), agent=0, k=3) is None
-
-    def test_per_agent_override(self):
-        sched = polynomial(10.0, 2.0)
-        custom = type(sched)(kind=sched.kind, e0=1.0, p=2.0, overrides={})
-        with_override = type(sched)(
-            kind=sched.kind, e0=10.0, p=2.0, overrides={1: custom}
-        )
-        assert threshold(with_override, agent=0, k=1) == 10.0
-        assert threshold(with_override, agent=1, k=1) == 1.0
+        assert threshold(every_n(4), k=3) is None
 
 
 class TestScheduleValidation:
@@ -128,7 +118,7 @@ class TestMonotonicityAndSums:
         [polynomial(20.0, 1.2), polynomial(1.0, 2.0), exponential(5.0, 0.9), zero()],
     )
     def test_thresholds_non_increasing(self, sched):
-        values = [threshold(sched, 0, k) for k in range(1, 200)]
+        values = [threshold(sched, k) for k in range(1, 200)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_polynomial_partial_sums_bounded(self):
@@ -144,22 +134,16 @@ class TestMonotonicityAndSums:
         assert total <= e0 * rho / (1.0 - rho) + 1e-9
 
     def test_envelope_extends_to_round_zero(self):
-        assert threshold_envelope(polynomial(20.0, 1.2), 0, 0) == 20.0
-        assert threshold_envelope(exponential(4.0, 0.5), 0, 0) == 4.0
-        assert threshold_envelope(zero(), 0, 0) == 0.0
-        assert threshold_envelope(polynomial(20.0, 1.2), 0, 2) == threshold(
-            polynomial(20.0, 1.2), 0, 2
+        assert threshold_envelope(polynomial(20.0, 1.2), 0) == 20.0
+        assert threshold_envelope(exponential(4.0, 0.5), 0) == 4.0
+        assert threshold_envelope(zero(), 0) == 0.0
+        assert threshold_envelope(polynomial(20.0, 1.2), 2) == threshold(
+            polynomial(20.0, 1.2), 2
         )
 
     def test_envelope_rejects_periodic(self):
         with pytest.raises(ScheduleError):
-            threshold_envelope(every_n(2), 0, 1)
-
-    def test_max_envelope_over_agents(self):
-        base = polynomial(1.0, 2.0)
-        big = polynomial(7.0, 2.0)
-        sched = type(base)(kind=base.kind, e0=1.0, p=2.0, overrides={2: big})
-        assert max_threshold_envelope(sched, n=4, k=1) == 7.0
+            threshold_envelope(every_n(2), 1)
 
 
 class TestParseSchedule:
