@@ -1,19 +1,19 @@
 """Experiment harness.
 
-Parses flat key-value config files (flags override), generates or loads
-instances, runs (seed x schedule) sweeps, and emits plot-ready CSV traces
-plus text summaries. Schedule comparison mode tabulates the broadcasts
-needed to reach objective-gap and consensus thresholds against the
-always-broadcast baseline.
+Parses flat key-value config files (flags override), generates instances,
+runs (seed x schedule) sweeps, and emits plot-ready CSV traces plus text
+summaries. Each seed's centralized reference is solved afresh and written to
+`cache/` as an output; nothing under the output directory is read back.
+Schedule comparison mode tabulates the broadcasts needed to reach
+objective-gap and consensus thresholds against the always-broadcast
+baseline.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -30,18 +30,12 @@ from .graph import (
 )
 from .objective import (
     CompositeObjective,
-    instance_to_text,
+    instance_hash,
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
-    text_digest,
 )
-from .reference import (
-    ReferenceSolution,
-    reference_from_text,
-    reference_to_text,
-    solve_centralized,
-)
+from .reference import ReferenceSolution, reference_to_text, solve_centralized
 
 PROBLEMS = ("lasso", "logistic", "quadratic")
 DEFAULT_ROUNDS = {"lasso": 2000, "logistic": 5000, "quadratic": 2000}
@@ -211,39 +205,14 @@ def build_instance(cfg: ExperimentConfig, seed: int) -> CompositeObjective:
     return obj
 
 
-def _write_atomic(path: Path, text: str):
-    """Write to a hidden temporary file beside `path`, then rename it over
-    `path`, so that an interrupted write never leaves a partial file under
-    the final name."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-
-
-def _cached_reference(cfg: ExperimentConfig, objective: CompositeObjective,
-                      instance_text: str, digest: str, cache_dir: Path) -> ReferenceSolution:
-    """The reference solution of `objective`, whose serialized text and its
-    digest the caller passes in. A missing, unreadable or mismatched cache
-    file is a miss: the instance is solved again and the file rewritten."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    instance_path = cache_dir / f"instance_{digest}.txt"
-    if not instance_path.exists():
-        _write_atomic(instance_path, instance_text)
-    ref_path = cache_dir / f"reference_{digest}_tol{cfg.reference_tol:.3g}.txt"
-    try:
-        sol, stored_digest = reference_from_text(ref_path.read_text())
-    except (OSError, ValueError):
-        pass
-    else:
-        if stored_digest == digest and sol.x_star.shape == (objective.m,):
-            return sol
+def _solve_reference(cfg: ExperimentConfig, objective: CompositeObjective, digest: str,
+                     cache_dir: Path) -> ReferenceSolution:
+    """Solve `objective` centrally and write the solution, named by the
+    instance `digest`, to `cache_dir` as an output of the sweep."""
     sol = solve_centralized(objective, tol=cfg.reference_tol)
-    _write_atomic(ref_path, reference_to_text(sol, digest))
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    ref_path = cache_dir / f"reference_{digest}_tol{cfg.reference_tol:.3g}.txt"
+    ref_path.write_text(reference_to_text(sol, digest))
     return sol
 
 
@@ -285,9 +254,9 @@ def _strong_convexity_margin(cfg_run: RunConfig) -> Optional[float]:
 
 
 def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
-                  series: metrics.ErgodicSeries, certificate_text: str):
+                  series: metrics.ErgodicSeries, certificate_text: str, digest: str):
     """Write the run's summary, its final errors read from the trace's
-    `series`."""
+    `series` and the instance named by `digest`."""
     done = trace.completed_rounds
     lines = [
         f"problem {cfg.problem}",
@@ -295,7 +264,7 @@ def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: 
         f"seed {run_cfg.seed}",
         f"n {run_cfg.n}",
         f"m {run_cfg.m}",
-        f"instance {trace.instance_digest}",
+        f"instance {digest}",
         f"rounds_completed {done}",
         f"diverged {int(trace.diverged)}",
         f"stepsize_margin {_fmt(trace.stepsize_margin)}",
@@ -424,12 +393,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     for seed in cfg.seeds:
         objective = build_instance(cfg, seed)
-        instance_text = instance_to_text(objective)
-        digest = text_digest(instance_text)
+        digest = instance_hash(objective)
         graph_seed = cfg.graph_seed if cfg.graph_seed is not None else seed
         graph = generate_random_graph(cfg.n, cfg.graph_r, graph_seed)
         lap = laplacian(graph)
-        reference = _cached_reference(cfg, objective, instance_text, digest, cache_dir)
+        reference = _solve_reference(cfg, objective, digest, cache_dir)
         seed_traces: dict = {}
         seed_series: dict = {}
 
@@ -447,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
             recorder = metrics.ErgodicRecorder(objective, lap, reference.f_star,
                                                reference.x_star)
-            trace = run(run_cfg, instance_digest=digest, observe=recorder)
+            trace = run(run_cfg, observe=recorder)
             series = recorder.series()
             seed_traces[spec] = trace
             seed_series[spec] = series
@@ -458,7 +426,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if cfg.certificate and not trace.diverged:
                 certificate_text = _certificate_block(cfg, run_cfg, trace, reference, series)
             write_trace_csv(run_dir / "trace.csv", trace, series)
-            write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, series, certificate_text)
+            write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, series, certificate_text,
+                          digest)
             result.run_dirs.append(run_dir)
             if trace.diverged:
                 result.diverged_runs.append(
@@ -485,37 +454,31 @@ def _certificate_block(cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrac
         return f"certificate_skipped {err}\n"
 
 
+# Command-line flags: (flag, config key it overrides, argparse options).
+FLAGS = (
+    ("--problem", "problem", dict(choices=PROBLEMS)),
+    ("--schedule", "schedule", dict(help='e.g. "poly:20:1.2", "exp:1:0.99", "zero", "everyN:2"')),
+    ("--rounds", "rounds", dict(type=int)),
+    ("--seed", "seeds", dict(help="comma-separated seed list")),
+    ("--out", "out", dict(help="output directory")),
+    ("--beta", "beta", dict(type=float)),
+    ("--eta", "eta", dict(help="scalar or comma-separated per-agent list")),
+    ("--graph-r", "graph_r", dict(type=float)),
+    ("--certificate", "certificate",
+     dict(action="store_true", default=None, help="emit the ergodic rate certificate")),
+    ("--compare", "compare", dict(help="comma-separated schedule specs to compare")),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="etdopt",
         description="Event-triggered decentralized optimization experiment harness.",
     )
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--problem", choices=PROBLEMS)
-    parser.add_argument("--schedule", help='e.g. "poly:20:1.2", "exp:1:0.99", "zero", "everyN:2"')
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--seed", help="comma-separated seed list")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--eta", help="scalar or comma-separated per-agent list")
-    parser.add_argument("--graph-r", type=float, dest="graph_r")
-    parser.add_argument("--certificate", action="store_true", default=None,
-                        help="emit the ergodic rate certificate")
-    parser.add_argument("--compare", help="comma-separated schedule specs to compare")
+    dests = {parser.add_argument(flag, **options).dest: key for flag, key, options in FLAGS}
     args = parser.parse_args(argv)
-
-    overrides = {
-        "problem": args.problem,
-        "schedule": args.schedule,
-        "rounds": args.rounds,
-        "seeds": args.seed,
-        "out": args.out,
-        "beta": args.beta,
-        "eta": args.eta,
-        "graph_r": args.graph_r,
-        "certificate": args.certificate,
-        "compare": args.compare,
-    }
+    overrides = {key: getattr(args, dest) for dest, key in dests.items()}
     try:
         result = run_experiment(parse_config(args.config, overrides))
     except (ConfigFileError, GraphConfigError) as err:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import trigger as trig
 from .graph import Graph, check_stepsize_composite, is_connected, laplacian, max_eigenvalue
-from .objective import CompositeObjective, instance_hash
+from .objective import CompositeObjective
 
 
 class ConfigError(ValueError):
@@ -115,10 +115,10 @@ class RunConfig:
             raise ConfigError(f"graph has {g.n} nodes but objective has {obj.n} agents")
         if not is_connected(g):
             raise ConfigError("communication graph must be connected")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.eta.shape != (g.n,) or np.any(self.eta <= 0):
-            raise ConfigError("eta must be positive, one entry per agent")
+        if not 0.0 < self.beta < np.inf:
+            raise ConfigError(f"beta must be positive and finite, got {self.beta}")
+        if self.eta.shape != (g.n,) or not np.all((self.eta > 0.0) & (self.eta < np.inf)):
+            raise ConfigError("eta must be positive and finite, one entry per agent")
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
         for name, arr in (("x0", self.x0), ("z0", self.z0)):
@@ -262,7 +262,6 @@ class RunTrace:
     """
 
     config: RunConfig
-    instance_digest: str
     records: list = field(default_factory=list)
     diverged: bool = False
     diverged_round: Optional[int] = None
@@ -295,30 +294,19 @@ class RunTrace:
         return self.elapsed_seconds / done if done else 0.0
 
 
-def _digest(objective: CompositeObjective) -> str:
-    try:
-        return instance_hash(objective)
-    except ValueError:
-        return "unserialized"
-
-
-def run(config: RunConfig, instance_digest: Optional[str] = None,
+def run(config: RunConfig,
         observe: Optional[Callable[[NetworkState], None]] = None) -> RunTrace:
     """Execute the full round loop, keeping broadcast flags and diagnostics.
 
     `observe`, when given, is called with the state of round 0 and then with
     each completed round's state, in order, before the next round starts.
-    `instance_digest` is recorded in the trace; callers that have already
-    serialized the objective pass its digest, otherwise it is computed here.
     Divergence does not raise: the returned trace is flagged and holds the
     rounds completed before the non-finite iterate appeared.
     """
     check = config.validate()
     n = config.n
     event_rule = config.schedule.is_event_rule
-    if instance_digest is None:
-        instance_digest = _digest(config.objective)
-    trace = RunTrace(config=config, instance_digest=instance_digest)
+    trace = RunTrace(config=config)
     started = time.perf_counter()
 
     state = initial_state(config)

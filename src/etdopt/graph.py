@@ -8,6 +8,7 @@ primal-dual stepsizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -146,36 +147,37 @@ def laplacian(g: Graph) -> np.ndarray:
 def laplacian_norm(lap: np.ndarray):
     """The map v -> sqrt(sum over coordinates of v^T lap v) for a graph
     Laplacian lap (zero row sums, nonpositive off-diagonal; any other matrix
-    raises ValueError), with lap's structure read once; the square-root
-    factor of lap is never formed.
+    raises ValueError), with lap checked once; the square-root factor of lap
+    is never formed.
 
-    The quadratic form is expanded over edge differences, which is exact at
-    consensus points where a matrix product leaves sqrt(eps) noise.
+    Each point is first centred on its row 0, d = v - v[0], which leaves the
+    form unchanged because lap annihilates constant rows. At consensus d is
+    exactly zero, and near it lap @ d carries only the roundoff of the small
+    differences, where the plain sum(v * (lap @ v)) leaves sqrt(eps) noise
+    from the cancellation of large terms. Where the squares overflow, d is
+    divided by the largest power of two not above its largest entry, which
+    is exact, and the form taken again: a finite point has a finite norm
+    unless the norm itself exceeds the float range.
     """
     lap = np.asarray(lap, dtype=np.float64)
     n = lap.shape[0]
     off = lap - np.diag(np.diag(lap))
     if not (np.all(lap @ np.ones(n) == 0.0) and np.all(off <= 0.0)):
         raise ValueError("expected a graph Laplacian: zero row sums, nonpositive off-diagonal")
-    ii, jj = np.nonzero(np.triu(off, 1) != 0.0)
-    weights = -lap[ii, jj]
-    # Edge-difference buffers, kept between calls: fresh arrays of this size
-    # cost more in page faults than the arithmetic on them.
-    buffers = {}
 
     def norm(v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
-        mat = v[:, None] if v.ndim == 1 else v
-        shape = (ii.size, mat.shape[1])
-        if shape not in buffers:
-            buffers.clear()
-            buffers[shape] = (np.empty(shape), np.empty(shape))
-        diff, other = buffers[shape]
-        np.take(mat, ii, axis=0, out=diff)
-        np.take(mat, jj, axis=0, out=other)
-        np.subtract(diff, other, out=diff)
-        quad = float(weights @ np.einsum("em,em->e", diff, diff))
-        return float(np.sqrt(max(quad, 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):  # handled below
+            d = v - v[0]
+            quad = float(np.sum(d * (lap @ d)))
+        if math.isfinite(quad):
+            return math.sqrt(max(quad, 0.0))
+        peak = float(np.max(np.abs(d)))
+        if not peak < math.inf:
+            return peak  # a non-finite point: inf, or nan
+        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)  # the power of two <= peak
+        d /= scale
+        return scale * math.sqrt(max(float(np.sum(d * (lap @ d))), 0.0))
 
     return norm
 

@@ -5,8 +5,8 @@ proximable nonsmooth regularizer; `CompositeObjective` groups them into
 stacked arrays, so that the whole network is evaluated at once. Instance
 generators build the benchmark problems: sparse least squares, logistic
 regression, and a separable quadratic with a closed-form minimizer.
-Instances serialize to a plain text format that regenerates bit-exactly from
-(kind, parameters, seed).
+Instances serialize to a plain text format, written at 17 significant
+digits, whose digest names the instance in outputs.
 """
 
 from __future__ import annotations
@@ -474,80 +474,6 @@ def instance_to_text(objective: CompositeObjective) -> str:
             lines.append(_fmt_row(f.diag))
             lines.append(_fmt_row(f.center))
     return "\n".join(lines) + "\n"
-
-
-class LineCursor:
-    """Bounds-checked reader over the lines of a text format: running past
-    the end, a wrong field name or a wrong count of numbers raises
-    ValueError, so truncated text fails like any other malformed text."""
-
-    def __init__(self, text: str, what: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-        self.what = what
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ValueError(f"{self.what} ends early, at line {self.pos + 1}")
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-    def field(self, key: str) -> str:
-        """Value of the next line, which must read "key value"."""
-        line = self.next()
-        name, _, value = line.partition(" ")
-        if name != key:
-            raise ValueError(f"expected field {key!r} at line {self.pos}, got {line!r}")
-        return value
-
-    def floats(self, count: int) -> np.ndarray:
-        """The next line as exactly `count` numbers."""
-        values = [float(v) for v in self.next().split()]
-        if len(values) != count:
-            raise ValueError(f"expected {count} numbers at line {self.pos}, got {len(values)}")
-        return np.array(values)
-
-
-def instance_from_text(text: str) -> CompositeObjective:
-    """Inverse of `instance_to_text`; malformed or truncated text raises
-    ValueError."""
-    cur = LineCursor(text, "instance text")
-    magic = cur.next().split()
-    if len(magic) != 2 or magic[0] != FORMAT_MAGIC:
-        raise ValueError("not an instance file")
-    if magic[1] != str(FORMAT_VERSION):
-        raise ValueError(f"unsupported instance format version {magic[1]}")
-    kind = cur.field("kind")
-    if kind == "lasso":
-        n, p, m = int(cur.field("n")), int(cur.field("p")), int(cur.field("m"))
-        tau, seed = float(cur.field("tau")), int(cur.field("seed"))
-        meta = {"kind": kind, "n": n, "p": p, "m": m, "tau": tau, "seed": seed}
-    elif kind == "logistic":
-        n, m_i, m = int(cur.field("n")), int(cur.field("m_i")), int(cur.field("m"))
-        ridge, seed = float(cur.field("ridge")), int(cur.field("seed"))
-        meta = {"kind": kind, "n": n, "m_i": m_i, "m": m, "ridge": ridge, "seed": seed}
-    elif kind == "quadratic":
-        n, m, seed = int(cur.field("n")), int(cur.field("m")), int(cur.field("seed"))
-        meta = {"kind": kind, "n": n, "m": m, "seed": seed}
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    smooth, nonsmooth = [], []
-    for i in range(n):
-        if cur.next() != f"agent {i}":
-            raise ValueError(f"expected 'agent {i}' at line {cur.pos}")
-        if kind == "lasso":
-            a = np.array([cur.floats(m) for _ in range(p)])
-            smooth.append(LeastSquaresLoss(a, cur.floats(p)))
-            nonsmooth.append(ScaledL1(tau, m))
-        elif kind == "logistic":
-            x = np.array([cur.floats(m) for _ in range(m_i)])
-            smooth.append(LogisticLoss(x, cur.floats(m_i), ridge=ridge))
-            nonsmooth.append(ZeroNonsmooth(m))
-        else:
-            d = cur.floats(m)
-            smooth.append(DiagonalQuadraticLoss(d, cur.floats(m)))
-            nonsmooth.append(ZeroNonsmooth(m))
-    return CompositeObjective(smooth, nonsmooth, meta)
 
 
 def text_digest(text: str) -> str:

@@ -1,10 +1,11 @@
 """Centralized ground-truth solver and optimality residuals.
 
 Provides the minimizer and optimal value used by the metrics as a baseline,
-a first-order optimality (KKT) residual for network states, and a small text
-format for caching solves. The solve works on the summed objective, with the
-per-agent losses pooled into one loss per loss class (stacked rows or
-samples) and the per-agent l1 weights into one.
+a first-order optimality (KKT) residual for network states, and the text
+form in which the harness writes a solve out (nothing reads it back). The
+solve works on the summed objective, with the per-agent losses pooled into
+one loss per loss class (stacked rows or samples) and the per-agent l1
+weights into one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .graph import laplacian_quadratic_norm
 from .objective import (
     CompositeObjective,
     DiagonalQuadraticLoss,
-    LineCursor,
     quadratic_minimizer,
     soft_threshold,
 )
@@ -158,28 +158,3 @@ def reference_to_text(sol: ReferenceSolution, instance_digest: str) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-def reference_from_text(text: str):
-    """Returns (solution, instance_digest); malformed or truncated text
-    raises ValueError."""
-    cur = LineCursor(text, "reference cache text")
-    if cur.next().split() != [CACHE_MAGIC, str(CACHE_VERSION)]:
-        raise ValueError("not a reference cache file")
-    digest = cur.field("instance")
-    tol = float(cur.field("tol"))
-    f_star = float(cur.field("f_star"))
-    solver_residual = float(cur.field("solver_residual"))
-    iterations = int(cur.field("iterations"))
-    certified = bool(int(cur.field("certified")))
-    if cur.next() != "x_star":
-        raise ValueError("malformed reference cache file")
-    x_star = np.array([float(v) for v in cur.next().split()])
-    sol = ReferenceSolution(
-        x_star=x_star,
-        f_star=f_star,
-        solver_residual=solver_residual,
-        iterations=iterations,
-        certified=certified,
-        tol=tol,
-    )
-    return sol, digest

@@ -1,6 +1,7 @@
 """Tests for config parsing, the experiment harness, and schedule comparison."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from etdopt.cli import (
 from etdopt.engine import suggested_stepsizes
 from etdopt.graph import generate_random_graph
 from etdopt.objective import instance_hash, make_lasso_instance
-from etdopt.reference import reference_from_text
+from etdopt.reference import reference_to_text, solve_centralized
 
 
 def small_cfg(tmp_path, **kwargs) -> ExperimentConfig:
@@ -162,15 +163,6 @@ class TestRunExperiment:
         b = (result.run_dirs[1] / "trace.csv").read_bytes()
         assert a != b
 
-    def test_reference_cache_reused(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        run_experiment(cfg)
-        cache = list((tmp_path / "runs" / "cache").glob("reference_*.txt"))
-        assert len(cache) == 1
-        stamp = cache[0].stat().st_mtime_ns
-        run_experiment(cfg)
-        assert cache[0].stat().st_mtime_ns == stamp  # loaded, not re-solved
-
     def test_summary_digest_matches_fresh_instance(self, tmp_path):
         cfg = small_cfg(tmp_path, seeds=(1, 2))
         result = run_experiment(cfg)
@@ -179,30 +171,36 @@ class TestRunExperiment:
                            for line in (run_dir / "summary.txt").read_text().splitlines())
             assert summary["instance"] == instance_hash(build_instance(cfg, seed))
 
-    def test_truncated_cache_file_is_solved_again(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        first = run_experiment(cfg)
-        (ref_path,) = (tmp_path / "runs" / "cache").glob("reference_*.txt")
-        whole = ref_path.read_text()
-        csv = (first.run_dirs[0] / "trace.csv").read_bytes()
-        for cut in (len(whole) // 2, whole.index("x_star"), len(whole) - 3):
-            ref_path.write_text(whole[:cut])
-            again = run_experiment(cfg)
-            assert again.exit_code == 0
-            assert ref_path.read_text() == whole
-            assert (again.run_dirs[0] / "trace.csv").read_bytes() == csv
-
     def test_cache_leaves_only_final_names(self, tmp_path):
         cfg = small_cfg(tmp_path)
         run_experiment(cfg)
+        objective = build_instance(cfg, 1)
+        digest = instance_hash(objective)
         cache = tmp_path / "runs" / "cache"
-        (instance_path,) = cache.glob("instance_*.txt")
-        digest = instance_path.stem.removeprefix("instance_")
-        assert len(list(cache.glob(f"reference_{digest}_*.txt"))) == 1
-        assert sorted(p.name for p in cache.iterdir()) == sorted(
-            [instance_path.name, f"reference_{digest}_tol1e-10.txt"])
-        sol, stored = reference_from_text((cache / f"reference_{digest}_tol1e-10.txt").read_text())
-        assert stored == digest and sol.x_star.shape == (cfg.m,)
+        name = f"reference_{digest}_tol1e-10.txt"
+        assert [p.name for p in cache.iterdir()] == [name]
+        assert (cache / name).read_text() == reference_to_text(
+            solve_centralized(objective, tol=cfg.reference_tol), digest)
+
+    def test_stale_reference_file_is_not_trusted(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        first = run_experiment(cfg)
+        (ref_path,) = (tmp_path / "runs" / "cache").glob("reference_*.txt")
+        solved = ref_path.read_text()
+        summary_path = first.run_dirs[0] / "summary.txt"
+
+        def stable_summary():
+            return [line for line in summary_path.read_text().splitlines()
+                    if not line.startswith("seconds_per_round ")]
+
+        before = stable_summary()
+        stale, count = re.subn(r"(?m)^f_star .*$", "f_star -1000", solved)
+        assert count == 1
+        ref_path.write_text(stale)
+        again = run_experiment(cfg)
+        assert again.exit_code == 0
+        assert ref_path.read_text() == solved
+        assert stable_summary() == before
 
     def test_divergent_run_recorded_and_flagged(self, tmp_path):
         cfg = small_cfg(tmp_path, problem="quadratic", eta=(0.001,), beta=1.0,
@@ -249,8 +247,9 @@ class TestNonDegenerateLasso:
         (run_dir,) = result.run_dirs
         summary = dict(line.partition(" ")[::2]
                        for line in (run_dir / "summary.txt").read_text().splitlines())
+        reference = solve_centralized(objective, tol=cfg.reference_tol)
         (ref_path,) = (tmp_path / "runs" / "cache").glob("reference_*.txt")
-        reference, _ = reference_from_text(ref_path.read_text())
+        assert ref_path.read_text() == reference_to_text(reference, instance_hash(objective))
         assert reference.certified
         assert np.count_nonzero(reference.x_star) > 0
         assert float(summary["stepsize_margin"]) > 0.0

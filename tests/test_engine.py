@@ -373,6 +373,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("beta", float("nan")), ("beta", float("inf")),
+        ("eta", float("nan")), ("eta", float("inf")),
+    ])
+    def test_non_finite_stepsize_rejected(self, name, value):
+        # Unchecked, these reach the spectral margin check, which fails with
+        # "not exactly symmetric" (NaN) or a LinAlgError (eta = inf).
+        cfg = lasso_run_config(n=6, rounds=1, enforce_stepsize=False)
+        if name == "beta":
+            cfg.beta = value
+        else:
+            cfg.eta = np.full(6, value)
+        with pytest.raises(ConfigError, match="finite"):
+            cfg.validate()
+
     def test_disconnected_graph_rejected(self):
         cfg = lasso_run_config(n=4, rounds=1)
         cfg.graph = Graph.from_edges(4, [(0, 1), (2, 3)])

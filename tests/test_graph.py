@@ -216,6 +216,34 @@ class TestLaplacianQuadraticNorm:
         explicit = np.linalg.norm(sqrt_lap @ vec)
         assert direct == pytest.approx(explicit, abs=1e-12)
 
+    def test_exact_near_consensus(self):
+        # A consensus point perturbed by 1e-12 on the CLI's default graph:
+        # the edge-difference sum is the exact value, which the centred
+        # form keeps and the plain sum(v * (L @ v)) loses to cancellation.
+        lap = laplacian(generate_random_graph(100, 0.4, seed=1))
+        rng = np.random.default_rng(0)
+        point = np.tile(rng.standard_normal(50), (100, 1))
+        v = point + 1e-12 * rng.standard_normal((100, 50))
+        ii, jj = np.nonzero(np.triu(lap, 1))
+        diff = v[ii] - v[jj]
+        edge = np.sqrt(np.sum(-lap[ii, jj][:, None] * diff * diff))
+        assert laplacian_norm(lap)(point) == 0.0
+        assert laplacian_norm(lap)(v) == pytest.approx(edge, rel=1e-12)
+        plain = np.sqrt(abs(np.sum(v * (lap @ v))))
+        assert abs(plain - edge) > 100.0 * edge
+
+    def test_finite_where_the_squares_overflow(self):
+        # Power-of-two scaling is exact, so the value scales with the point;
+        # only a non-finite point gives a non-finite norm.
+        norm = laplacian_norm(laplacian(generate_random_graph(12, 0.4, seed=9)))
+        v = np.random.default_rng(1).standard_normal((12, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert norm(v * 2.0**600) == norm(v) * 2.0**600
+            v[4, 1] = np.inf
+            assert norm(v) == np.inf
+            v[4, 1] = np.nan
+            assert np.isnan(norm(v))
+
     @pytest.mark.parametrize("mat", [
         np.eye(3),                              # nonzero row sums
         np.array([[-1.0, 1.0], [1.0, -1.0]]),   # positive off-diagonal

@@ -4,25 +4,15 @@ Serializing a value and parsing the text back returns the same value; text
 that is truncated, mutated or plain garbage is either parsed or rejected with
 the parser's declared error and nothing else:
 
-    instance_from_text, reference_from_text -> ValueError
     parse_schedule -> ScheduleError
     parse_config -> ConfigFileError
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdopt.cli import ConfigFileError, ExperimentConfig, parse_config
-from etdopt.objective import (
-    instance_from_text,
-    instance_to_text,
-    make_lasso_instance,
-    make_logistic_instance,
-    make_quadratic_instance,
-)
-from etdopt.reference import ReferenceSolution, reference_from_text, reference_to_text
 from etdopt.trigger import (
     ScheduleError,
     every_n,
@@ -38,7 +28,7 @@ FUZZ = settings(max_examples=40, deadline=None)
 # powers that overflow, divide by zero or go complex on a negative base,
 # special floats and the characters the formats give meaning to.
 PIECES = (" ", "\n", "-", "+", ".", ":", "^", "=", "#", ",", "e", "0", "1", "9",
-          "^1e5", "^-1", "^0.5", "nan", "inf", "-1", "x", "poly", "agent 0")
+          "^1e5", "^-1", "^0.5", "nan", "inf", "-1", "x", "poly")
 
 
 @st.composite
@@ -72,87 +62,6 @@ def rejects_only(parse, error, text):
         parse(text)
     except error:
         pass
-
-
-# -- instances ---------------------------------------------------------------
-
-@st.composite
-def instances(draw):
-    kind = draw(st.sampled_from(("lasso", "logistic", "quadratic")))
-    n, m, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 1000))
-    if kind == "lasso":
-        tau = draw(st.floats(0.0, 10.0))
-        return make_lasso_instance(n, rows, m, tau, seed)[0]
-    if kind == "logistic":
-        ridge = draw(st.floats(0.0, 5.0))
-        return make_logistic_instance(n, rows, m, seed, ridge=ridge)[0]
-    return make_quadratic_instance(n, m, seed)
-
-
-class TestInstanceText:
-    @FUZZ
-    @given(obj=instances())
-    def test_round_trip(self, obj):
-        text = instance_to_text(obj)
-        loaded = instance_from_text(text)
-        assert loaded.meta == obj.meta
-        assert instance_to_text(loaded) == text  # 17 digits: every number exact
-
-    @FUZZ
-    @given(text=mutated(instances().map(instance_to_text)))
-    def test_mutated_text_raises_only_value_error(self, text):
-        rejects_only(instance_from_text, ValueError, text)
-
-    @FUZZ
-    @given(text=garbage())
-    def test_garbage_raises_only_value_error(self, text):
-        rejects_only(instance_from_text, ValueError, text)
-
-
-# -- reference solutions -----------------------------------------------------
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def references(draw):
-    sol = ReferenceSolution(
-        x_star=np.array(draw(st.lists(FINITE, min_size=1, max_size=6))),
-        f_star=draw(FINITE),
-        solver_residual=draw(st.floats(0.0, 1e3)),
-        iterations=draw(st.integers(0, 10**6)),
-        certified=draw(st.booleans()),
-        tol=draw(st.floats(1e-16, 1.0)),
-    )
-    return sol, draw(st.text("0123456789abcdef", min_size=16, max_size=16))
-
-
-def reference_text(pair):
-    return reference_to_text(*pair)
-
-
-class TestReferenceText:
-    @FUZZ
-    @given(pair=references())
-    def test_round_trip(self, pair):
-        sol, digest = pair
-        loaded, loaded_digest = reference_from_text(reference_to_text(sol, digest))
-        assert loaded_digest == digest
-        assert np.array_equal(loaded.x_star, sol.x_star)
-        assert (loaded.f_star, loaded.solver_residual, loaded.iterations, loaded.certified,
-                loaded.tol) == (sol.f_star, sol.solver_residual, sol.iterations,
-                                sol.certified, sol.tol)
-
-    @FUZZ
-    @given(text=mutated(references().map(reference_text)))
-    def test_mutated_text_raises_only_value_error(self, text):
-        rejects_only(reference_from_text, ValueError, text)
-
-    @FUZZ
-    @given(text=garbage())
-    def test_garbage_raises_only_value_error(self, text):
-        rejects_only(reference_from_text, ValueError, text)
 
 
 # -- schedules ---------------------------------------------------------------

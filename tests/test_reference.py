@@ -21,8 +21,6 @@ from etdopt.reference import (
     _PooledSmooth,
     dual_from_reference,
     kkt_residual,
-    reference_from_text,
-    reference_to_text,
     solve_centralized,
 )
 
@@ -186,31 +184,3 @@ class TestKktResidual:
         assert res >= laplacian_quadratic_norm(lap, x)
         assert res > 0.0
 
-
-class TestReferenceCacheFormat:
-    def test_round_trip(self):
-        sol = solve_centralized(scalar_lasso_objective(), tol=1e-12)
-        text = reference_to_text(sol, "abc123")
-        loaded, digest = reference_from_text(text)
-        assert digest == "abc123"
-        assert np.array_equal(loaded.x_star, sol.x_star)
-        assert loaded.f_star == sol.f_star
-        assert loaded.certified == sol.certified
-        assert loaded.tol == sol.tol
-
-    def test_rejects_foreign_text(self):
-        with pytest.raises(ValueError):
-            reference_from_text("not a cache\n")
-
-    def test_truncation_raises_only_value_error(self):
-        obj, _ = make_lasso_instance(n=3, p=2, m=5, tau=0.01, seed=4)
-        text = reference_to_text(solve_centralized(obj, tol=1e-10), "abc123")
-        lines = text.splitlines(keepends=True)
-        for cut in range(len(lines) - 1):
-            with pytest.raises(ValueError):
-                reference_from_text("".join(lines[:cut]))
-        for cut in range(len(text)):
-            try:
-                reference_from_text(text[:cut])
-            except ValueError:
-                pass
