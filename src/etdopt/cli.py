@@ -188,10 +188,11 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
                 raise ConfigFileError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             _apply_key(cfg, key, value, f"{path}:{lineno}")
+    flags = {key: flag for flag, key, _ in FLAGS}
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        _apply_key(cfg, key, str(value), f"flag --{key.replace('_', '-')}")
+        _apply_key(cfg, key, str(value), f"flag {flags.get(key, '--' + key.replace('_', '-'))}")
     return _validate(ExperimentConfig(**cfg))
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import trigger as trig
 from .graph import Graph, check_stepsize_composite, is_connected, laplacian, max_eigenvalue
-from .objective import CompositeObjective
+from .objective import CompositeObjective, soft_threshold
 
 
 class ConfigError(ValueError):
@@ -138,7 +138,10 @@ class NetworkState:
     """All agents at one synchronization point, as read-only stacks: row i
     of `x`, `z` and `x_tilde` is agent i's primal iterate, dual variable and
     last broadcast copy. `broadcast_count` counts each agent's broadcasts
-    from round 0 on, and `fired` flags this round's broadcasters."""
+    from round 0 on, and `fired` flags this round's broadcasters.
+    `trigger_slack` is each agent's deviation ||x_i - x_tilde_i|| after this
+    round's broadcasts minus the round's threshold; it is None at round 0
+    and under the periodic schedule."""
 
     x: np.ndarray
     z: np.ndarray
@@ -146,6 +149,7 @@ class NetworkState:
     broadcast_count: np.ndarray
     fired: np.ndarray
     round: int
+    trigger_slack: Optional[np.ndarray] = None
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -208,17 +212,22 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
     _check_finite(x, k)
 
     schedule = config.schedule
+    slack = None
     if schedule.kind == trig.EVERY_N:
         fired = np.full(config.n, k % schedule.period == 0)
     else:
-        fired = trig.row_norms(x - state.x_tilde) > trig.threshold(schedule, k)
+        threshold = trig.threshold(schedule, k)
+        norms = trig.row_norms(x - state.x_tilde)
+        fired = norms > threshold
+        # A broadcaster's copy is now x_i itself, so its deviation is zero.
+        slack = _frozen(np.where(fired, 0.0, norms) - threshold)
     x_tilde = np.where(fired[:, None], x, state.x_tilde)
 
     z = dual_step(state.z, lap, x_tilde, beta)
     _check_finite(z, k)
     return NetworkState(x=_frozen(x), z=_frozen(z), x_tilde=_frozen(x_tilde),
                         broadcast_count=_frozen(state.broadcast_count + fired),
-                        fired=_frozen(fired), round=k)
+                        fired=_frozen(fired), round=k, trigger_slack=slack)
 
 
 def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective,
@@ -226,15 +235,14 @@ def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective
     """Stacked always-broadcast iteration: a proximal step on the linearized
     augmented Lagrangian followed by dual ascent. Reference path for the
     event-triggered engine under an all-zero schedule; it takes gradients
-    and proxes from the per-agent parts, apart from the objective's stacks."""
+    from the per-agent losses, apart from the objective's stack, and the
+    prox as a soft threshold at each agent's l1 weight over eta_i."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
     grad = np.stack([f.gradient(x[i]) for i, f in enumerate(objective.smooth)])
     v = x - (z + grad + beta * (lap @ x)) / eta[:, None]
-    x_new = np.empty_like(v)
-    for i in range(objective.n):
-        x_new[i] = objective.nonsmooth[i].prox(1.0 / eta[i], v[i])
+    x_new = soft_threshold(v, ((1.0 / eta) * objective.tau)[:, None])
     z_new = z + beta * (lap @ x_new)
     return x_new, z_new
 
@@ -325,11 +333,11 @@ def run(config: RunConfig,
             trace.diverged_round = err.round
             trace.diverged_agent = err.agent
             break
-        x_k, z_k = state.x, state.z
+        z_k = state.z
 
         if event_rule:
-            slack = trig.row_norms(x_k - state.x_tilde) - trig.threshold(config.schedule, k)
-            trace.max_trigger_slack = max(trace.max_trigger_slack, float(np.max(slack)))
+            trace.max_trigger_slack = max(trace.max_trigger_slack,
+                                          float(np.max(state.trigger_slack)))
         z_scale = float(np.max(np.abs(z_k))) if z_k.size else 0.0
         if z_scale > 0.0:
             imbalance = float(np.max(np.abs(z_k.sum(axis=0)))) / (n * z_scale)

@@ -1,23 +1,20 @@
 """Per-agent composite objectives, evaluated on stacked arrays.
 
-Each agent holds a smooth loss (value, gradient, curvature constants) plus a
-proximable nonsmooth regularizer; `CompositeObjective` groups them into
-stacked arrays, so that the whole network is evaluated at once. Instance
-generators build the benchmark problems: sparse least squares, logistic
-regression, and a separable quadratic with a closed-form minimizer.
-Instances serialize to a plain text format, written at 17 significant
-digits, whose digest names the instance in outputs.
+Each agent holds a smooth loss (value, gradient, curvature constants) plus an
+l1 weight. All agents share one loss family and one array shape, so
+`CompositeObjective` stacks the losses once and evaluates the whole network
+with a few array operations; the weights form one vector whose prox is a
+soft threshold. Instance generators build the benchmark problems: sparse
+least squares, logistic regression, and a separable quadratic with a
+closed-form minimizer. `instance_hash` names an instance in outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-FORMAT_MAGIC = "etdopt-instance"
-FORMAT_VERSION = 1
 
 
 def soft_threshold(y: np.ndarray, t) -> np.ndarray:
@@ -41,8 +38,6 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 class ZeroSmooth:
     """Identically-zero smooth part."""
 
-    is_zero = True
-
     def __init__(self, m: int):
         self.m = m
         self.lipschitz = 0.0
@@ -57,8 +52,6 @@ class ZeroSmooth:
 
 class LeastSquaresLoss:
     """0.5 * ||b - A theta||^2."""
-
-    is_zero = False
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = np.asarray(a, dtype=np.float64)
@@ -83,8 +76,6 @@ class LeastSquaresLoss:
 class LogisticLoss:
     """Sum of ln(1 + exp(-y <x_j, theta>)) over local samples, with an
     optional ridge term (ridge/2)*||theta||^2 supplying strong convexity."""
-
-    is_zero = False
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float = 0.0):
         self.features = np.asarray(features, dtype=np.float64)
@@ -121,8 +112,6 @@ class LogisticLoss:
 class DiagonalQuadraticLoss:
     """0.5 * (theta - c)^T diag(d) (theta - c) with d > 0."""
 
-    is_zero = False
-
     def __init__(self, diag: np.ndarray, center: np.ndarray):
         self.diag = np.asarray(diag, dtype=np.float64)
         self.center = np.asarray(center, dtype=np.float64)
@@ -140,41 +129,6 @@ class DiagonalQuadraticLoss:
 
     def gradient(self, theta) -> np.ndarray:
         return self.diag * (np.asarray(theta, dtype=np.float64) - self.center)
-
-
-class ZeroNonsmooth:
-    """Identically-zero regularizer; its prox is the identity."""
-
-    is_zero = True
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def value(self, theta) -> float:
-        return 0.0
-
-    def prox(self, step: float, y: np.ndarray) -> np.ndarray:
-        return np.array(y, dtype=np.float64, copy=True)
-
-
-class ScaledL1:
-    """tau * ||theta||_1; prox is soft thresholding at step * tau."""
-
-    is_zero = False
-
-    def __init__(self, tau: float, m: int):
-        if not tau >= 0.0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
-        self.tau = float(tau)
-        self.m = m
-
-    def value(self, theta) -> float:
-        return self.tau * float(np.sum(np.abs(theta)))
-
-    def prox(self, step: float, y: np.ndarray) -> np.ndarray:
-        if step <= 0.0:
-            raise ValueError(f"prox step must be > 0, got {step}")
-        return soft_threshold(y, step * self.tau)
 
 
 class _LeastSquaresStack:
@@ -246,8 +200,8 @@ class _QuadraticStack:
         return DiagonalQuadraticLoss(total, np.sum(self.diag * self.center, axis=0) / total)
 
 
-# Smooth-part classes with a stacked form, each with the attribute whose
-# shape must agree within one stack.
+# Loss classes with a stacked form, each with the attribute whose shape must
+# agree across agents. Every attribute of a stack is one of its arrays.
 _STACKS = {
     LeastSquaresLoss: (_LeastSquaresStack, "a"),
     LogisticLoss: (_LogisticStack, "features"),
@@ -257,45 +211,40 @@ _STACKS = {
 
 @dataclass
 class CompositeObjective:
-    """n agent-indexed (smooth, nonsmooth) pairs sharing one dimension.
+    """n agents' smooth losses `smooth` plus their l1 weights `tau`.
 
-    The per-agent parts stay readable in `smooth` and `nonsmooth`, but the
-    stacked methods never loop over agents: at construction the smooth parts
-    are grouped once by loss class and array shape into `stacks`, pairs of
-    (agent rows, stacked arrays), with zero parts dropped; the regularizers
-    become one per-agent l1 weight vector `tau`, zero where the regularizer
-    is zero. Gradients and values of an (n, m) stack are then a few einsums
-    per group, and the prox a single soft threshold (the identity when every
-    weight is zero).
+    The losses share one class, one dimension and one array shape. They stay
+    readable one by one in `smooth`, but the stacked methods never loop over
+    agents: at construction the losses become one stack of (n, ...) arrays,
+    `stack` (None when every loss is zero). Gradients and values of an
+    (n, m) stack are then a few einsums, and the prox a single soft
+    threshold (the identity when every weight is zero).
     """
 
     smooth: tuple
-    nonsmooth: tuple
-    meta: dict = field(default_factory=dict)
+    tau: np.ndarray
 
     def __post_init__(self):
         self.smooth = tuple(self.smooth)
-        self.nonsmooth = tuple(self.nonsmooth)
-        if len(self.smooth) != len(self.nonsmooth) or not self.smooth:
-            raise ValueError("need matching, non-empty smooth/nonsmooth lists")
-        dims = {part.m for part in self.smooth} | {part.m for part in self.nonsmooth}
+        self.tau = np.array(self.tau, dtype=np.float64)
+        if not self.smooth or self.tau.shape != (len(self.smooth),):
+            raise ValueError("need a non-empty loss list and one l1 weight per loss")
+        if not np.all(self.tau >= 0.0):
+            raise ValueError(f"l1 weights must be >= 0, got {self.tau}")
+        dims = {f.m for f in self.smooth}
         if len(dims) != 1:
-            raise ValueError(f"all parts must share one dimension, got {sorted(dims)}")
-        groups: dict = {}
-        for i, f in enumerate(self.smooth):
-            if f.is_zero:
-                continue
-            if type(f) not in _STACKS:
-                raise ValueError(f"no stacked form for smooth part {type(f).__name__}")
-            groups.setdefault((type(f), getattr(f, _STACKS[type(f)][1]).shape), []).append(i)
-        self.stacks = [
-            (np.array(rows), _STACKS[cls][0]([self.smooth[i] for i in rows]))
-            for (cls, _), rows in groups.items()
-        ]
-        for g in self.nonsmooth:
-            if not isinstance(g, (ZeroNonsmooth, ScaledL1)):
-                raise ValueError(f"no stacked form for regularizer {type(g).__name__}")
-        self.tau = np.array([0.0 if g.is_zero else g.tau for g in self.nonsmooth])
+            raise ValueError(f"all losses must share one dimension, got {sorted(dims)}")
+        cls = type(self.smooth[0])
+        if any(type(f) is not cls for f in self.smooth):
+            raise ValueError("all losses must be of one class")
+        self.stack = None
+        if cls is not ZeroSmooth:
+            if cls not in _STACKS:
+                raise ValueError(f"no stacked form for loss {cls.__name__}")
+            stack_cls, attr = _STACKS[cls]
+            if len({getattr(f, attr).shape for f in self.smooth}) != 1:
+                raise ValueError("all losses must share one array shape")
+            self.stack = stack_cls(self.smooth)
 
     @property
     def n(self) -> int:
@@ -313,28 +262,26 @@ class CompositeObjective:
 
     def centralized_value(self, theta: np.ndarray) -> float:
         """Total objective at one shared decision vector."""
-        return sum(
-            f.value(theta) + g.value(theta) for f, g in zip(self.smooth, self.nonsmooth)
-        )
+        l1 = float(np.sum(np.abs(theta)))
+        return sum(f.value(theta) + t * l1 for f, t in zip(self.smooth, self.tau.tolist()))
 
     def stacked_value(self, x: np.ndarray) -> float:
         """Total objective with agent i evaluated at row i of x."""
         x = np.asarray(x, dtype=np.float64)
         total = float(self.tau @ np.sum(np.abs(x), axis=1))
-        for rows, stack in self.stacks:
-            total += stack.value(x[rows])
+        if self.stack is not None:
+            total += self.stack.value(x)
         return total
 
     def gradient_stack(self, x: np.ndarray) -> np.ndarray:
-        """Row i: gradient of agent i's smooth part at row i of x."""
+        """Row i: gradient of agent i's smooth loss at row i of x."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros((self.n, self.m))
-        for rows, stack in self.stacks:
-            out[rows] = stack.gradient(x[rows])
-        return out
+        if self.stack is None:
+            return np.zeros((self.n, self.m))
+        return self.stack.gradient(x)
 
     def prox_stack(self, steps: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Row i: prox of agent i's regularizer with step steps[i] at v[i]."""
+        """Row i: prox of agent i's l1 term with step steps[i] at v[i]."""
         if not np.any(self.tau):
             return v
         return soft_threshold(v, (np.asarray(steps) * self.tau)[:, None])
@@ -351,7 +298,7 @@ def make_lasso_instance(n: int, p: int, m: int, tau: float, seed: int):
     rng = np.random.default_rng(seed)
     a_all = np.empty((n, p, m))
     b_all = np.empty((n, p))
-    smooth, nonsmooth = [], []
+    smooth = []
     for i in range(n):
         a = rng.standard_normal((p, m))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -359,9 +306,7 @@ def make_lasso_instance(n: int, p: int, m: int, tau: float, seed: int):
         b /= np.linalg.norm(b)
         a_all[i], b_all[i] = a, b
         smooth.append(LeastSquaresLoss(a, b))
-        nonsmooth.append(ScaledL1(tau, m))
-    meta = {"kind": "lasso", "n": n, "p": p, "m": m, "tau": float(tau), "seed": int(seed)}
-    obj = CompositeObjective(smooth, nonsmooth, meta)
+    obj = CompositeObjective(smooth, np.full(n, float(tau)))
     return obj, {"a": a_all, "b": b_all}
 
 
@@ -375,7 +320,7 @@ def make_logistic_instance(n: int, m_i: int, m: int, seed: int, ridge: float = 0
     w_true = rng.standard_normal(m)
     feats = np.empty((n, m_i, m))
     labels = np.empty((n, m_i))
-    smooth, nonsmooth = [], []
+    smooth = []
     for i in range(n):
         x = rng.standard_normal((m_i, m))
         x[:, -1] = 1.0
@@ -384,16 +329,7 @@ def make_logistic_instance(n: int, m_i: int, m: int, seed: int, ridge: float = 0
         y[flips] *= -1.0
         feats[i], labels[i] = x, y
         smooth.append(LogisticLoss(x, y, ridge=ridge))
-        nonsmooth.append(ZeroNonsmooth(m))
-    meta = {
-        "kind": "logistic",
-        "n": n,
-        "m_i": m_i,
-        "m": m,
-        "ridge": float(ridge),
-        "seed": int(seed),
-    }
-    obj = CompositeObjective(smooth, nonsmooth, meta)
+    obj = CompositeObjective(smooth, np.zeros(n))
     return obj, {"features": feats, "labels": labels, "w_true": w_true}
 
 
@@ -404,83 +340,37 @@ def make_quadratic_instance(n: int, m: int, seed: int) -> CompositeObjective:
     if min(n, m) < 1:
         raise ValueError("n, m must be positive")
     rng = np.random.default_rng(seed)
-    smooth, nonsmooth = [], []
+    smooth = []
     for _ in range(n):
         d = rng.uniform(1.0, 2.0, m)
         c = rng.standard_normal(m)
         smooth.append(DiagonalQuadraticLoss(d, c))
-        nonsmooth.append(ZeroNonsmooth(m))
-    meta = {"kind": "quadratic", "n": n, "m": m, "seed": int(seed)}
-    return CompositeObjective(smooth, nonsmooth, meta)
+    return CompositeObjective(smooth, np.zeros(n))
 
 
 def quadratic_minimizer(objective: CompositeObjective) -> np.ndarray:
     """Closed-form centralized minimizer (sum of diagonals)^-1 (weighted
     center sum) for a pure diagonal-quadratic instance."""
+    if not isinstance(objective.stack, _QuadraticStack) or np.any(objective.tau):
+        raise ValueError("closed form only applies to pure diagonal-quadratic instances")
     total_d = np.zeros(objective.m)
     total_dc = np.zeros(objective.m)
-    for f, g in zip(objective.smooth, objective.nonsmooth):
-        if not isinstance(f, DiagonalQuadraticLoss) or not g.is_zero:
-            raise ValueError("closed form only applies to pure diagonal-quadratic instances")
+    for f in objective.smooth:
         total_d += f.diag
         total_dc += f.diag * f.center
     return total_dc / total_d
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _fmt_row(row) -> str:
-    return " ".join(_fmt(v) for v in np.asarray(row, dtype=np.float64))
-
-
-def instance_to_text(objective: CompositeObjective) -> str:
-    """Self-describing text serialization: a header with kind, dimensions and
-    seed, then per-agent row-major numeric blocks at 17 significant digits."""
-    meta = objective.meta
-    kind = meta.get("kind")
-    if kind not in ("lasso", "logistic", "quadratic"):
-        raise ValueError(f"cannot serialize instance of kind {kind!r}")
-    lines = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", f"kind {kind}"]
-    if kind == "lasso":
-        lines += [
-            f"n {meta['n']}",
-            f"p {meta['p']}",
-            f"m {meta['m']}",
-            f"tau {_fmt(meta['tau'])}",
-            f"seed {meta['seed']}",
-        ]
-        for i, f in enumerate(objective.smooth):
-            lines.append(f"agent {i}")
-            lines.extend(_fmt_row(row) for row in f.a)
-            lines.append(_fmt_row(f.b))
-    elif kind == "logistic":
-        lines += [
-            f"n {meta['n']}",
-            f"m_i {meta['m_i']}",
-            f"m {meta['m']}",
-            f"ridge {_fmt(meta['ridge'])}",
-            f"seed {meta['seed']}",
-        ]
-        for i, f in enumerate(objective.smooth):
-            lines.append(f"agent {i}")
-            lines.extend(_fmt_row(row) for row in f.features)
-            lines.append(" ".join(str(int(v)) for v in f.labels))
-    else:
-        lines += [f"n {meta['n']}", f"m {meta['m']}", f"seed {meta['seed']}"]
-        for i, f in enumerate(objective.smooth):
-            lines.append(f"agent {i}")
-            lines.append(_fmt_row(f.diag))
-            lines.append(_fmt_row(f.center))
-    return "\n".join(lines) + "\n"
-
-
-def text_digest(text: str) -> str:
-    """Stable 16-hex-digit digest of an instance's serialized text."""
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def instance_hash(objective: CompositeObjective) -> str:
-    """Stable 16-hex-digit digest of the serialized instance."""
-    return text_digest(instance_to_text(objective))
+    """Stable 16-hex-digit digest of an instance: its loss class, (n, m), its
+    l1 weights and the shape and little-endian float64 bytes of each stacked
+    array."""
+    digest = hashlib.sha256(
+        f"{type(objective.smooth[0]).__name__} {objective.n} {objective.m}".encode())
+    arrays = [objective.tau]
+    if objective.stack is not None:
+        arrays += vars(objective.stack).values()
+    for arr in arrays:
+        digest.update(str(arr.shape).encode())
+        digest.update(np.asarray(arr, dtype="<f8").tobytes())
+    return digest.hexdigest()[:16]

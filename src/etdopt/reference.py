@@ -3,9 +3,8 @@
 Provides the minimizer and optimal value used by the metrics as a baseline,
 a first-order optimality (KKT) residual for network states, and the text
 form in which the harness writes a solve out (nothing reads it back). The
-solve works on the summed objective, with the per-agent losses pooled into
-one loss per loss class (stacked rows or samples) and the per-agent l1
-weights into one.
+solve works on the summed objective: the objective's stack pooled into one
+loss (all agents' rows or samples) and the per-agent l1 weights summed.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from .graph import laplacian_quadratic_norm
 from .objective import (
     CompositeObjective,
     DiagonalQuadraticLoss,
+    ZeroSmooth,
     quadratic_minimizer,
     soft_threshold,
 )
@@ -36,30 +36,13 @@ class ReferenceSolution:
     tol: float
 
 
-class _PooledSmooth:
-    """Gradient of the sum of the per-agent smooth parts, with one pooled
-    loss per stack of the objective (see `CompositeObjective`): least
-    squares over the stacked rows, logistic over the stacked samples with
-    the ridges summed, one diagonal quadratic per stack of quadratics."""
-
-    def __init__(self, objective: CompositeObjective):
-        self.m = objective.m
-        self.parts = [stack.pooled() for _, stack in objective.stacks]
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.m)
-        for part in self.parts:
-            g += part.gradient(theta)
-        return g
-
-
 def solve_centralized(
     objective: CompositeObjective, tol: float = 1e-10, max_iter: int = 1_000_000,
 ) -> ReferenceSolution:
     """Proximal gradient on the summed objective, started at zero, with
     fixed step 1/l, l being the sum of the per-agent gradient Lipschitz
-    bounds. The gradient is taken through the pooled losses of
-    `_PooledSmooth`.
+    bounds. The gradient is taken through the pooled loss of the
+    objective's stack.
 
     Stops when the prox-gradient mapping norm drops to `tol`; an exhausted
     iteration budget returns the best point flagged as non-certified. Pure
@@ -67,12 +50,9 @@ def solve_centralized(
     """
     m = objective.m
     theta = np.zeros(m)
-    smooth = _PooledSmooth(objective)
+    smooth = ZeroSmooth(m) if objective.stack is None else objective.stack.pooled()
 
-    if (
-        all(isinstance(f, DiagonalQuadraticLoss) for f in objective.smooth)
-        and all(g.is_zero for g in objective.nonsmooth)
-    ):
+    if isinstance(smooth, DiagonalQuadraticLoss) and not np.any(objective.tau):
         x_star = quadratic_minimizer(objective)
         residual = float(np.linalg.norm(smooth.gradient(x_star)))
         return ReferenceSolution(

@@ -15,8 +15,6 @@ from etdopt.graph import generate_random_graph, laplacian
 from etdopt.metrics import ErgodicRecorder
 from etdopt.objective import (
     CompositeObjective,
-    ScaledL1,
-    ZeroNonsmooth,
     ZeroSmooth,
     make_lasso_instance,
     make_logistic_instance,
@@ -79,9 +77,7 @@ def logistic_run_config(n=10, m_i=8, m=10, seed=1, ridge=0.1, schedule="zero",
 def pure_l1_run_config(n=8, m=4, tau=0.3, seed=2, schedule="zero", rounds=100,
                        graph_r=0.5, x0_scale=1.0, **kwargs):
     """All-zero smooth parts: a regularizer-only objective."""
-    smooth = [ZeroSmooth(m) for _ in range(n)]
-    nonsmooth = [ScaledL1(tau, m) for _ in range(n)]
-    objective = CompositeObjective(smooth, nonsmooth)
+    objective = CompositeObjective([ZeroSmooth(m) for _ in range(n)], np.full(n, tau))
     graph = generate_random_graph(n, graph_r, seed)
     rng = np.random.default_rng(seed)
     x0 = x0_scale * rng.standard_normal((n, m))
@@ -102,9 +98,7 @@ def pure_l1_run_config(n=8, m=4, tau=0.3, seed=2, schedule="zero", rounds=100,
 def consensus_run_config(n=12, m=3, seed=3, schedule="zero", rounds=200, graph_r=0.4,
                          **kwargs):
     """No objective at all: pure averaging dynamics with unit weights."""
-    smooth = [ZeroSmooth(m) for _ in range(n)]
-    nonsmooth = [ZeroNonsmooth(m) for _ in range(n)]
-    objective = CompositeObjective(smooth, nonsmooth)
+    objective = CompositeObjective([ZeroSmooth(m) for _ in range(n)], np.zeros(n))
     graph = generate_random_graph(n, graph_r, seed)
     _, beta = suggested_stepsizes(graph, objective)
     rng = np.random.default_rng(seed)

@@ -345,6 +345,13 @@ class TestMain:
                      "--rounds", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_rejected_flag_named_as_typed(self, tmp_path, capsys):
+        # --seed sets the `seeds` key; a key with no flag keeps its --key form
+        assert main(["--seed", "abc", "--out", str(tmp_path / "o")]) == 2
+        assert "error: flag --seed: " in capsys.readouterr().err
+        with pytest.raises(ConfigFileError, match="flag --dual-radius: "):
+            parse_config(overrides={"dual_radius": "abc"})
+
     def test_overflowing_schedule_flag_exits_2(self, tmp_path, capsys):
         assert main(["--schedule", "poly:2^1e5:1", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -31,8 +31,6 @@ from etdopt.objective import (
     CompositeObjective,
     DiagonalQuadraticLoss,
     LeastSquaresLoss,
-    ScaledL1,
-    ZeroNonsmooth,
     ZeroSmooth,
     make_quadratic_instance,
     quadratic_minimizer,
@@ -55,11 +53,9 @@ K2_LAP = laplacian(k2_graph())
 P3_LAP = laplacian(p3_graph())
 
 
-def agents(smooth, nonsmooth=None, m=1):
-    """Objective of len(smooth) agents; zero regularizers unless given."""
-    if nonsmooth is None:
-        nonsmooth = [ZeroNonsmooth(m) for _ in smooth]
-    return CompositeObjective(smooth, nonsmooth)
+def agents(smooth, tau=None):
+    """Objective of len(smooth) agents; zero l1 weights unless given."""
+    return CompositeObjective(smooth, np.zeros(len(smooth)) if tau is None else tau)
 
 
 def rows(*values):
@@ -87,7 +83,7 @@ class TestLaplacianDisagreement:
 class TestPrimalSteps:
     def test_composite_isolated_shrinkage(self):
         # f = 0.5 (x-3)^2 at x=3 has zero gradient; prox of |.| moves 3 to 2
-        obj = agents([LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))], [ScaledL1(1.0, 1)])
+        obj = agents([LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))], [1.0])
         out = primal_step(obj, rows(3.0), rows(0.0), ISOLATED, rows(3.0), np.ones(1), 0.5)
         assert out == pytest.approx(soft_threshold(rows(3.0), 1.0))
 
@@ -119,7 +115,7 @@ class TestPrimalSteps:
         assert out == pytest.approx(x)
 
     def test_nonsmooth_shrinkage(self):
-        obj = agents([ZeroSmooth(1)], [ScaledL1(1.0, 1)])
+        obj = agents([ZeroSmooth(1)], [1.0])
         out = primal_step(obj, rows(3.0), rows(0.0), ISOLATED, rows(3.0), np.ones(1), 0.5)
         assert out == pytest.approx(rows(2.0))
 
@@ -137,7 +133,7 @@ class TestPrimalSteps:
 
     def test_mixed_regularizers_per_row(self):
         # row 0 carries an l1 weight, row 1 none; neither row sees the other's
-        obj = agents([ZeroSmooth(1), ZeroSmooth(1)], [ScaledL1(1.0, 1), ZeroNonsmooth(1)])
+        obj = agents([ZeroSmooth(1), ZeroSmooth(1)], [1.0, 0.0])
         x = rows(3.0, 3.0)
         out = primal_step(obj, x, np.zeros((2, 1)), K2_LAP, x, np.ones(2), 0.5)
         assert out == pytest.approx(rows(2.0, 3.0))
@@ -228,7 +224,7 @@ class TestMatrixStep:
     def test_single_node_decouples_to_proximal_gradient(self):
         obj = CompositeObjective(
             [LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))],
-            [ScaledL1(1.0, 1)],
+            [1.0],
         )
         lap = np.zeros((1, 1))
         eta = np.array([1.0])
@@ -329,6 +325,22 @@ class TestRun:
             for i in range(6):
                 assert dev[i] <= threshold(sched, final.round) + 0.0
 
+    @pytest.mark.parametrize("schedule", ["poly:0.05:1.2", "exp:1:0.92", "zero", "everyN:3"])
+    def test_state_slack_is_the_deviation_after_broadcast(self, schedule):
+        cfg = lasso_run_config(n=6, rounds=60, schedule=schedule)
+        states = drive_states(cfg)
+        assert states[0].trigger_slack is None
+        worst = -np.inf
+        for state in states[1:]:
+            if not cfg.schedule.is_event_rule:
+                assert state.trigger_slack is None
+                continue
+            dev = row_norms(state.x - state.x_tilde) - threshold(cfg.schedule, state.round)
+            assert np.array_equal(state.trigger_slack, dev)
+            worst = max(worst, float(np.max(dev)))
+        if cfg.schedule.is_event_rule:
+            assert run(cfg).max_trigger_slack == worst
+
     def test_dual_imbalance_small(self):
         cfg = lasso_run_config(n=8, rounds=150, schedule="poly:1:1.2")
         trace = run(cfg)
@@ -356,9 +368,9 @@ class TestRun:
         grad = np.stack([f.gradient(state.x[i]) for i, f in enumerate(cfg.objective.smooth)])
         v = state.x - (state.z + grad + cfg.beta * (lap @ state.x_tilde)) / cfg.eta[:, None]
         for i in range(5):
-            x_plus = cfg.objective.nonsmooth[i].prox(1.0 / cfg.eta[i], v[i])
+            tau = cfg.objective.tau[i]
+            x_plus = soft_threshold(v[i], tau / cfg.eta[i])
             s = cfg.eta[i] * (v[i] - x_plus)
-            tau = cfg.objective.nonsmooth[i].tau
             for j in range(cfg.m):
                 if x_plus[j] != 0.0:
                     assert abs(s[j] - tau * np.sign(x_plus[j])) <= 1e-10

@@ -28,8 +28,6 @@ from etdopt.metrics import (
 from etdopt.objective import (
     CompositeObjective,
     LeastSquaresLoss,
-    ScaledL1,
-    ZeroNonsmooth,
     ZeroSmooth,
     quadratic_minimizer,
 )
@@ -37,8 +35,7 @@ from etdopt.reference import solve_centralized
 
 
 def zero_objective(n, m):
-    return CompositeObjective([ZeroSmooth(m) for _ in range(n)],
-                              [ZeroNonsmooth(m) for _ in range(n)])
+    return CompositeObjective([ZeroSmooth(m) for _ in range(n)], np.zeros(n))
 
 
 def recorded(snapshots, objective=None, lap=None, f_star=0.0, x_star=None):
@@ -78,11 +75,7 @@ def recomputed_series(config, f_star, x_star):
 
 
 def scalar_lasso_objective():
-    return CompositeObjective(
-        [LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))],
-        [ScaledL1(1.0, 1)],
-        {"kind": "lasso", "n": 1, "p": 1, "m": 1, "tau": 1.0, "seed": 0},
-    )
+    return CompositeObjective([LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))], [1.0])
 
 
 class TestErgodicAverage:

@@ -1,4 +1,4 @@
-"""Tests for composite objectives, generators, and serialization."""
+"""Tests for composite objectives, generators, and the instance digest."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from etdopt.objective import (
     DiagonalQuadraticLoss,
     LeastSquaresLoss,
     LogisticLoss,
-    ScaledL1,
-    ZeroNonsmooth,
     ZeroSmooth,
     instance_hash,
-    instance_to_text,
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
@@ -40,6 +37,12 @@ def grid_prox_oracle(g_value, step, y, lo=-10.0, hi=10.0, points=2_000_001):
     xs = np.linspace(lo, hi, points)
     vals = np.array([g_value(x) for x in xs]) + (xs - y) ** 2 / (2.0 * step)
     return xs[np.argmin(vals)]
+
+
+def l1_prox(tau, step, v):
+    """The objective's prox of tau * ||.||_1 with step `step` at vector v."""
+    obj = CompositeObjective([ZeroSmooth(v.size)], [tau])
+    return obj.prox_stack(np.array([step]), v[None, :])[0]
 
 
 class TestSoftThreshold:
@@ -70,7 +73,7 @@ class TestSoftThreshold:
     def test_matches_grid_prox_oracle(self):
         tau, step, y = 0.7, 0.9, 2.3
         expected = grid_prox_oracle(lambda x: tau * abs(x), step, y)
-        got = ScaledL1(tau, 1).prox(step, np.array([y]))[0]
+        got = l1_prox(tau, step, np.array([y]))[0]
         assert got == pytest.approx(expected, abs=2e-5)
 
 
@@ -79,10 +82,9 @@ class TestProxProperties:
         # eta (v - x+) must be a subgradient of tau |.|_1 at x+
         rng = np.random.default_rng(3)
         tau, step = 0.4, 1.7
-        part = ScaledL1(tau, 6)
         for _ in range(20):
             v = rng.standard_normal(6) * 3
-            x_plus = part.prox(step, v)
+            x_plus = l1_prox(tau, step, v)
             s = (v - x_plus) / step
             for j in range(6):
                 if x_plus[j] != 0.0:
@@ -92,10 +94,9 @@ class TestProxProperties:
 
     def test_prox_nonexpansive_on_sampled_pairs(self):
         rng = np.random.default_rng(4)
-        part = ScaledL1(0.8, 5)
         for _ in range(50):
             a, b = rng.standard_normal(5), rng.standard_normal(5)
-            pa, pb = part.prox(0.5, a), part.prox(0.5, b)
+            pa, pb = l1_prox(0.8, 0.5, a), l1_prox(0.8, 0.5, b)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -152,9 +153,10 @@ class TestLassoInstance:
             check_curvature_bounds(part, rng, pairs=25)
 
     def test_bit_deterministic(self):
-        a = instance_to_text(make_lasso_instance(5, 3, 8, 0.1, seed=9)[0])
-        b = instance_to_text(make_lasso_instance(5, 3, 8, 0.1, seed=9)[0])
-        assert a == b
+        a, raw_a = make_lasso_instance(5, 3, 8, 0.1, seed=9)
+        b, raw_b = make_lasso_instance(5, 3, 8, 0.1, seed=9)
+        assert all(np.array_equal(raw_a[k], raw_b[k]) for k in raw_a)
+        assert np.array_equal(a.tau, b.tau)
 
 
 class TestLogisticInstance:
@@ -210,8 +212,7 @@ class TestQuadraticInstance:
             DiagonalQuadraticLoss(np.array([1.0]), np.array([0.0])),
             DiagonalQuadraticLoss(np.array([1.0]), np.array([2.0])),
         ]
-        obj = CompositeObjective(parts, [ZeroNonsmooth(1), ZeroNonsmooth(1)],
-                                 {"kind": "quadratic", "n": 2, "m": 1, "seed": 0})
+        obj = CompositeObjective(parts, [0.0, 0.0])
         assert quadratic_minimizer(obj)[0] == pytest.approx(1.0)
 
     def test_single_agent_center(self):
@@ -241,7 +242,11 @@ class TestQuadraticInstance:
 class TestNanParametersRejected:
     def test_l1_weight(self):
         with pytest.raises(ValueError):
-            ScaledL1(float("nan"), 3)
+            CompositeObjective([ZeroSmooth(3), ZeroSmooth(3)], [0.1, float("nan")])
+
+    def test_negative_l1_weight(self):
+        with pytest.raises(ValueError):
+            CompositeObjective([ZeroSmooth(3), ZeroSmooth(3)], [0.1, -0.1])
 
     def test_logistic_ridge(self):
         with pytest.raises(ValueError):
@@ -252,44 +257,63 @@ class TestNanParametersRejected:
             DiagonalQuadraticLoss(np.array([np.nan]), np.zeros(1))
 
 
+def one_family(kind, rng, n=6, m=4):
+    """n losses of one family on dimension m."""
+    if kind == "least-squares":
+        return [LeastSquaresLoss(rng.standard_normal((3, m)), rng.standard_normal(3))
+                for _ in range(n)]
+    if kind == "ridge-logistic":
+        return [LogisticLoss(rng.standard_normal((5, m)), rng.choice([-1.0, 1.0], 5),
+                             ridge=rng.uniform(0.1, 0.5)) for _ in range(n)]
+    if kind == "quadratic":
+        return [DiagonalQuadraticLoss(rng.uniform(1.0, 2.0, m), rng.standard_normal(m))
+                for _ in range(n)]
+    return [ZeroSmooth(m) for _ in range(n)]
+
+
+FAMILIES = ("least-squares", "ridge-logistic", "quadratic", "zero")
+
+
 class TestCompositeObjective:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            CompositeObjective([ZeroSmooth(3)], [ZeroNonsmooth(4)])
+            CompositeObjective([ZeroSmooth(3), ZeroSmooth(4)], [0.0, 0.0])
 
     def test_stacked_methods_match_per_agent_parts(self):
-        # two least-squares shapes, ridge-logistic, quadratic and zero parts,
-        # with l1 and zero regularizers interleaved
+        # each family with l1 and zero weights interleaved
         rng = np.random.default_rng(8)
-        m = 4
-        smooth = [
-            LeastSquaresLoss(rng.standard_normal((3, m)), rng.standard_normal(3)),
-            LogisticLoss(rng.standard_normal((5, m)), np.array([1.0, -1.0, 1.0, 1.0, -1.0]),
-                         ridge=0.3),
-            ZeroSmooth(m),
-            LeastSquaresLoss(rng.standard_normal((2, m)), rng.standard_normal(2)),
-            DiagonalQuadraticLoss(rng.uniform(1.0, 2.0, m), rng.standard_normal(m)),
-            LeastSquaresLoss(rng.standard_normal((3, m)), rng.standard_normal(3)),
-        ]
-        nonsmooth = [ScaledL1(0.2, m) if i % 2 else ZeroNonsmooth(m) for i in range(6)]
-        obj = CompositeObjective(smooth, nonsmooth)
-        assert len(obj.stacks) == 4  # lsq (3, m), logistic, lsq (2, m), quadratic
-        x = rng.standard_normal((6, m))
-        steps = rng.uniform(0.5, 2.0, 6)
-        per_agent_grad = np.stack([f.gradient(x[i]) for i, f in enumerate(smooth)])
-        per_agent_prox = np.stack([g.prox(steps[i], x[i]) for i, g in enumerate(nonsmooth)])
-        per_agent_value = sum(f.value(x[i]) + g.value(x[i])
-                              for i, (f, g) in enumerate(zip(smooth, nonsmooth)))
-        assert np.allclose(obj.gradient_stack(x), per_agent_grad, rtol=0, atol=1e-12)
-        assert np.array_equal(obj.prox_stack(steps, x), per_agent_prox)
-        assert obj.stacked_value(x) == pytest.approx(per_agent_value, rel=1e-13)
+        tau = np.array([0.0, 0.2, 0.0, 0.5, 0.0, 0.2])
+        for kind in FAMILIES:
+            smooth = one_family(kind, rng)
+            obj = CompositeObjective(smooth, tau)
+            assert (obj.stack is None) == (kind == "zero")
+            x = rng.standard_normal((6, 4))
+            steps = rng.uniform(0.5, 2.0, 6)
+            per_agent_grad = np.stack([f.gradient(x[i]) for i, f in enumerate(smooth)])
+            per_agent_prox = np.stack([soft_threshold(x[i], steps[i] * tau[i])
+                                       for i in range(6)])
+            per_agent_value = sum(f.value(x[i]) + tau[i] * np.sum(np.abs(x[i]))
+                                  for i, f in enumerate(smooth))
+            assert np.allclose(obj.gradient_stack(x), per_agent_grad, rtol=0, atol=1e-12)
+            assert np.array_equal(obj.prox_stack(steps, x), per_agent_prox)
+            assert obj.stacked_value(x) == pytest.approx(per_agent_value, rel=1e-13)
+
+    def test_class_or_shape_mix_rejected(self):
+        rng = np.random.default_rng(9)
+        lsq, logistic, quadratic, zero = (one_family(kind, rng, n=2) for kind in FAMILIES)
+        short_lsq = LeastSquaresLoss(rng.standard_normal((2, 4)), rng.standard_normal(2))
+        for parts in ([lsq[0], logistic[0]], [zero[0], quadratic[0]], [lsq[0], short_lsq]):
+            with pytest.raises(ValueError):
+                CompositeObjective(parts, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            CompositeObjective(lsq, [0.0])  # one weight for two losses
 
     def test_part_without_stacked_form_rejected(self):
         class CubicLoss(ZeroSmooth):
-            is_zero = False
+            pass
 
         with pytest.raises(ValueError):
-            CompositeObjective([CubicLoss(2)], [ZeroNonsmooth(2)])
+            CompositeObjective([CubicLoss(2)], [0.0])
 
     def test_stacked_vs_centralized_value(self):
         obj, _ = make_lasso_instance(3, 2, 4, 0.2, seed=1)
@@ -299,13 +323,38 @@ class TestCompositeObjective:
 
 
 class TestSerialization:
-    def test_regeneration_reproduces_file(self):
-        first = instance_to_text(make_logistic_instance(3, 4, 5, seed=21, ridge=0.1)[0])
-        again = instance_to_text(make_logistic_instance(3, 4, 5, seed=21, ridge=0.1)[0])
-        assert first == again
+    """`instance_hash` digests the loss class, (n, m), the l1 weights and the
+    stacked arrays' shapes and bytes."""
+
+    def test_two_builds_share_a_digest(self):
+        for build in (lambda: make_lasso_instance(5, 3, 8, 0.1, seed=21)[0],
+                      lambda: make_logistic_instance(3, 4, 5, seed=21, ridge=0.1)[0],
+                      lambda: make_quadratic_instance(3, 4, seed=21)):
+            assert instance_hash(build()) == instance_hash(build())
 
     def test_hash_distinguishes_seeds(self):
         a = instance_hash(make_quadratic_instance(3, 4, seed=1))
         b = instance_hash(make_quadratic_instance(3, 4, seed=2))
         assert a != b
 
+    def test_one_array_entry_changes_the_digest(self):
+        obj, raw = make_lasso_instance(4, 3, 5, 0.1, seed=3)
+        a = raw["a"].copy()
+        a[2, 1, 3] = np.nextafter(a[2, 1, 3], np.inf)
+        changed = CompositeObjective(
+            [LeastSquaresLoss(a[i], raw["b"][i]) for i in range(4)], obj.tau)
+        rebuilt = CompositeObjective(
+            [LeastSquaresLoss(raw["a"][i], raw["b"][i]) for i in range(4)], obj.tau)
+        assert instance_hash(rebuilt) == instance_hash(obj)
+        assert instance_hash(changed) != instance_hash(obj)
+
+    def test_tau_and_ridge_change_the_digest(self):
+        assert (instance_hash(make_lasso_instance(4, 3, 5, 0.1, seed=3)[0])
+                != instance_hash(make_lasso_instance(4, 3, 5, 0.2, seed=3)[0]))
+        assert (instance_hash(make_logistic_instance(3, 4, 5, seed=3, ridge=0.1)[0])
+                != instance_hash(make_logistic_instance(3, 4, 5, seed=3, ridge=0.2)[0]))
+
+    def test_zero_objectives_of_different_dimension_differ(self):
+        a = CompositeObjective([ZeroSmooth(3), ZeroSmooth(3)], [0.0, 0.0])
+        b = CompositeObjective([ZeroSmooth(4), ZeroSmooth(4)], [0.0, 0.0])
+        assert instance_hash(a) != instance_hash(b)

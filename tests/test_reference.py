@@ -6,19 +6,13 @@ import pytest
 from etdopt.graph import Graph, generate_random_graph, laplacian
 from etdopt.objective import (
     CompositeObjective,
-    DiagonalQuadraticLoss,
     LeastSquaresLoss,
-    LogisticLoss,
-    ScaledL1,
-    ZeroNonsmooth,
-    ZeroSmooth,
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
     quadratic_minimizer,
 )
 from etdopt.reference import (
-    _PooledSmooth,
     dual_from_reference,
     kkt_residual,
     solve_centralized,
@@ -27,11 +21,7 @@ from etdopt.reference import (
 
 def scalar_lasso_objective():
     """Single agent, min 0.5 (x - 3)^2 + |x|."""
-    return CompositeObjective(
-        [LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))],
-        [ScaledL1(1.0, 1)],
-        {"kind": "lasso", "n": 1, "p": 1, "m": 1, "tau": 1.0, "seed": 0},
-    )
+    return CompositeObjective([LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))], [1.0])
 
 
 class TestSolveCentralized:
@@ -56,8 +46,7 @@ class TestSolveCentralized:
                 LeastSquaresLoss(np.diag(np.sqrt(p.diag)), np.sqrt(p.diag) * p.center)
                 for p in obj.smooth
             ],
-            [ZeroNonsmooth(4) for _ in range(5)],
-            {"kind": "lasso", "n": 5, "p": 4, "m": 4, "tau": 0.0, "seed": 4},
+            np.zeros(5),
         )
         sol = solve_centralized(as_least_squares, tol=1e-12)
         assert np.allclose(sol.x_star, quadratic_minimizer(obj), atol=1e-10)
@@ -88,33 +77,16 @@ class TestSolveCentralized:
         assert sol.solver_residual <= 1e-10
 
 
-def mixed_family_objective():
-    """Least-squares, ridge-logistic, diagonal-quadratic and zero parts on
-    one decision vector."""
-    rng = np.random.default_rng(3)
-    m = 4
-    labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-    smooth = [
-        LeastSquaresLoss(rng.standard_normal((3, m)), rng.standard_normal(3)),
-        LogisticLoss(rng.standard_normal((5, m)), labels, ridge=0.3),
-        DiagonalQuadraticLoss(rng.uniform(1.0, 2.0, m), rng.standard_normal(m)),
-        LeastSquaresLoss(rng.standard_normal((2, m)), rng.standard_normal(2)),
-        LogisticLoss(rng.standard_normal((5, m)), -labels, ridge=0.1),
-        ZeroSmooth(m),
-    ]
-    return CompositeObjective(smooth, [ZeroNonsmooth(m) for _ in smooth])
-
-
 class TestPooledSolve:
-    @pytest.mark.parametrize("kind", ["lasso", "ridge-logistic", "mixed"])
+    @pytest.mark.parametrize("kind", ["lasso", "ridge-logistic", "quadratic"])
     def test_pooled_gradient_matches_per_agent_sum(self, kind):
         if kind == "lasso":
             obj, _ = make_lasso_instance(n=20, p=3, m=7, tau=0.1, seed=2)
         elif kind == "ridge-logistic":
             obj, _ = make_logistic_instance(20, 6, 7, seed=2, ridge=0.2)
         else:
-            obj = mixed_family_objective()
-        pooled = _PooledSmooth(obj)
+            obj = make_quadratic_instance(n=20, m=7, seed=2)
+        pooled = obj.stack.pooled()
         rng = np.random.default_rng(5)
         for _ in range(5):
             theta = rng.standard_normal(obj.m)
@@ -130,12 +102,14 @@ class TestPooledSolve:
         assert sol.certified
         assert sol.iterations == 5919
 
-    def test_mixed_family_reaches_stationarity(self):
-        obj = mixed_family_objective()
-        sol = solve_centralized(obj, tol=1e-10)
-        assert sol.certified
-        total = sum(f.gradient(sol.x_star) for f in obj.smooth)
-        assert np.linalg.norm(total) <= 1e-9
+    def test_each_family_reaches_stationarity(self):
+        for obj in (make_lasso_instance(n=6, p=3, m=4, tau=0.0, seed=2)[0],
+                    make_logistic_instance(6, 5, 4, seed=2, ridge=0.2)[0],
+                    make_quadratic_instance(n=6, m=4, seed=2)):
+            sol = solve_centralized(obj, tol=1e-10)
+            assert sol.certified
+            total = sum(f.gradient(sol.x_star) for f in obj.smooth)
+            assert np.linalg.norm(total) <= 1e-9
 
 
 class TestDualRecovery:
