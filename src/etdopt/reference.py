@@ -4,7 +4,11 @@ Provides the minimizer and optimal value used by the metrics as a baseline,
 a first-order optimality (KKT) residual for network states, and the text
 form in which the harness writes a solve out (nothing reads it back). The
 solve works on the summed objective: the objective's stack pooled into one
-loss (all agents' rows or samples) and the per-agent l1 weights summed.
+loss (all agents' rows or samples) and the per-agent l1 weights summed. Its
+step is 1/L for L the pooled loss's own gradient Lipschitz bound
+(lambda_max(A^T A) for least squares, 0.25 lambda_max(F^T F) plus the summed
+ridge for logistic), not the looser sum of the per-agent bounds; those stay
+with the decentralized stepsize checks.
 """
 
 from __future__ import annotations
@@ -40,14 +44,16 @@ def solve_centralized(
     objective: CompositeObjective, tol: float = 1e-10, max_iter: int = 1_000_000,
 ) -> ReferenceSolution:
     """Proximal gradient on the summed objective, started at zero, with
-    fixed step 1/l, l being the sum of the per-agent gradient Lipschitz
-    bounds. The gradient is taken through the pooled loss of the
-    objective's stack.
+    fixed step 1/L, L being the gradient Lipschitz bound of the pooled loss
+    of the objective's stack (through which the gradient is taken).
 
-    Stops when the prox-gradient mapping norm drops to `tol`; an exhausted
-    iteration budget returns the best point flagged as non-certified. Pure
+    Stops when the prox-gradient mapping norm drops to `tol`. An exhausted
+    iteration budget returns the last point whose mapping norm was
+    measured, with that norm, flagged as non-certified. Pure
     diagonal-quadratic instances short-circuit to their closed form.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     m = objective.m
     theta = np.zeros(m)
     smooth = ZeroSmooth(m) if objective.stack is None else objective.stack.pooled()
@@ -64,35 +70,26 @@ def solve_centralized(
             tol=tol,
         )
 
-    lip = float(np.sum(objective.lipschitz()))
+    lip = smooth.lipschitz
     step = 1.0 / lip if lip > 0.0 else 1.0
     # The regularizers sum to one l1 term with the weights added.
     total_tau = float(np.sum(objective.tau))
 
-    residual = np.inf
     for it in range(max_iter + 1):
         theta_next = theta - step * smooth.gradient(theta)
         if total_tau > 0.0:
             theta_next = soft_threshold(theta_next, step * total_tau)
         residual = float(np.linalg.norm(theta - theta_next)) / step
-        if residual <= tol:
+        if residual <= tol or it == max_iter:
             return ReferenceSolution(
                 x_star=theta,
                 f_star=objective.centralized_value(theta),
                 solver_residual=residual,
                 iterations=it,
-                certified=True,
+                certified=residual <= tol,
                 tol=tol,
             )
         theta = theta_next
-    return ReferenceSolution(
-        x_star=theta,
-        f_star=objective.centralized_value(theta),
-        solver_residual=residual,
-        iterations=max_iter,
-        certified=False,
-        tol=tol,
-    )
 
 
 def dual_from_reference(objective: CompositeObjective, x_star: np.ndarray) -> np.ndarray:

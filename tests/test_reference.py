@@ -11,6 +11,7 @@ from etdopt.objective import (
     make_logistic_instance,
     make_quadratic_instance,
     quadratic_minimizer,
+    soft_threshold,
 )
 from etdopt.reference import (
     dual_from_reference,
@@ -63,6 +64,23 @@ class TestSolveCentralized:
         assert not sol.certified
         assert sol.iterations == 3
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_centralized(scalar_lasso_objective(), max_iter=-1)
+
+    @pytest.mark.parametrize("max_iter", [0, 3, 10, 1_000_000])
+    def test_residual_is_that_of_the_returned_point(self, max_iter):
+        # the prox-gradient mapping norm of x_star at the solver's step, 1/L
+        # of the pooled loss, is the residual the solve reports
+        obj, _ = make_lasso_instance(n=4, p=3, m=6, tau=0.1, seed=5)
+        sol = solve_centralized(obj, tol=1e-10, max_iter=max_iter)
+        pooled = obj.stack.pooled()
+        step = 1.0 / pooled.lipschitz
+        x = sol.x_star
+        moved = soft_threshold(x - step * pooled.gradient(x), step * float(np.sum(obj.tau)))
+        assert np.linalg.norm(x - moved) / step == pytest.approx(sol.solver_residual, rel=1e-12)
+        assert sol.certified == (max_iter == 1_000_000)
+
     def test_objective_monotone_along_iterations(self):
         obj, _ = make_lasso_instance(n=3, p=2, m=4, tau=0.2, seed=6)
         values = [
@@ -94,13 +112,48 @@ class TestPooledSolve:
             got = pooled.gradient(theta)
             assert np.linalg.norm(got - per_agent) <= 1e-12 * np.linalg.norm(per_agent)
 
-    def test_logistic_iteration_count_unchanged(self):
-        # 5,919 iterations is the count of the per-agent gradient sum on
-        # this instance (n=100, 8 samples each, m=50, seed 1)
+    @pytest.mark.parametrize("kind", ["lasso", "logistic", "ridge-logistic"])
+    def test_pooled_bound_is_a_valid_lipschitz_constant(self, kind):
+        if kind == "lasso":
+            obj, _ = make_lasso_instance(n=20, p=3, m=7, tau=0.1, seed=3)
+        else:
+            ridge = 0.2 if kind == "ridge-logistic" else 0.0
+            obj, _ = make_logistic_instance(20, 6, 7, seed=3, ridge=ridge)
+        pooled = obj.stack.pooled()
+        assert pooled.lipschitz <= float(np.sum(obj.lipschitz()))
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a, b = rng.standard_normal((2, obj.m)) * rng.uniform(0.01, 10.0)
+            change = np.linalg.norm(pooled.gradient(a) - pooled.gradient(b))
+            assert change <= pooled.lipschitz * np.linalg.norm(a - b) * (1 + 1e-12)
+
+    def test_least_squares_bound_is_attained(self):
+        # along the top right singular vector of the pooled A the gradient
+        # changes by exactly L, so no longer step is safe
+        obj, _ = make_lasso_instance(n=20, p=3, m=7, tau=0.1, seed=3)
+        pooled = obj.stack.pooled()
+        top = np.linalg.svd(pooled.a)[2][0]
+        change = np.linalg.norm(pooled.gradient(top) - pooled.gradient(np.zeros(obj.m)))
+        assert change == pytest.approx(pooled.lipschitz, rel=1e-12)
+
+    def test_logistic_iteration_count_at_pooled_step(self):
+        # 825 iterations at the pooled loss's bound 302.3 on this instance
+        # (n=100, 8 samples each, m=50, seed 1); the per-agent sum 2,138
+        # took 5,919 to the f* pinned here
         obj, _ = make_logistic_instance(100, 8, 50, seed=1)
         sol = solve_centralized(obj, tol=1e-10)
         assert sol.certified
-        assert sol.iterations == 5919
+        assert sol.iterations == 825
+        assert sol.f_star == pytest.approx(215.90050015841948, rel=1e-13)
+
+    def test_lasso_iteration_count_at_pooled_step(self):
+        # the tau = 0.01 lasso of TestNonDegenerateLasso: 73 iterations at
+        # the pooled bound, 876 at the per-agent sum
+        obj, _ = make_lasso_instance(100, 3, 50, tau=0.01, seed=1)
+        sol = solve_centralized(obj, tol=1e-10)
+        assert sol.certified
+        assert sol.iterations == 73
+        assert sol.f_star == pytest.approx(43.92699346195383, rel=1e-13)
 
     def test_each_family_reaches_stationarity(self):
         for obj in (make_lasso_instance(n=6, p=3, m=4, tau=0.0, seed=2)[0],
