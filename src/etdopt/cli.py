@@ -22,12 +22,7 @@ import numpy as np
 
 from . import metrics, trigger
 from .engine import RunConfig, RunTrace, run
-from .graph import (
-    GraphConfigError,
-    check_stepsize_strongly_convex,
-    generate_random_graph,
-    laplacian,
-)
+from .graph import GraphConfigError, generate_random_graph, laplacian
 from .objective import (
     CompositeObjective,
     instance_hash,
@@ -40,6 +35,7 @@ from .reference import ReferenceSolution, reference_to_text, solve_centralized
 PROBLEMS = ("lasso", "logistic", "quadratic")
 DEFAULT_ROUNDS = {"lasso": 2000, "logistic": 5000, "quadratic": 2000}
 GAP_THRESHOLDS = (1e-1, 1e-2, 1e-3, 1e-4)
+REFERENCE_TOL = 1e-10
 
 CSV_HEADER = "round,objective_gap,consensus_error,primal_residual,broadcasts_agent0,broadcasts_total_cum"
 
@@ -65,13 +61,7 @@ class ExperimentConfig:
     rounds: Optional[int] = None
     seeds: tuple = (1,)
     out: str = "runs"
-    reference_tol: float = 1e-10
     certificate: bool = False
-    dual_radius: Optional[float] = None
-    # hand-tuned benchmark stepsizes can violate the sufficient condition
-    # while still converging, so the harness records margins instead of
-    # rejecting; flip to True to hard-enforce.
-    enforce_stepsize: bool = False
     compare: tuple = ()
 
     def effective_rounds(self) -> int:
@@ -110,7 +100,7 @@ def _apply_key(cfg: dict, key: str, value: str, where: str):
             cfg[key] = value
         elif key in ("n", "m", "p", "mi", "rounds"):
             cfg[key] = int(value)
-        elif key in ("tau", "ridge", "graph_r", "beta", "reference_tol", "dual_radius"):
+        elif key in ("tau", "ridge", "graph_r", "beta"):
             cfg[key] = float(value)
         elif key == "graph_seed":
             cfg[key] = int(value) if value else None
@@ -123,7 +113,7 @@ def _apply_key(cfg: dict, key: str, value: str, where: str):
             cfg[key] = value
         elif key == "seeds":
             cfg[key] = _parse_list(value, where, int)
-        elif key in ("certificate", "enforce_stepsize"):
+        elif key == "certificate":
             cfg[key] = _parse_bool(value, where)
         elif key == "compare":
             specs = tuple(s.strip() for s in value.split(",") if s.strip())
@@ -153,11 +143,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         (len(cfg.eta) not in (1, cfg.n), f"eta list has {len(cfg.eta)} entries for n={cfg.n}"),
         (not (0.0 <= cfg.tau < math.inf and 0.0 <= cfg.ridge < math.inf),
          f"tau and ridge must be >= 0 and finite, got {cfg.tau}, {cfg.ridge}"),
-        (cfg.dual_radius is not None and not _positive(cfg.dual_radius),
-         f"dual_radius must be positive and finite, got {cfg.dual_radius}"),
         (not 0.0 < cfg.graph_r <= 1.0, f"graph_r must be in (0, 1], got {cfg.graph_r}"),
         (cfg.rounds is not None and cfg.rounds < 0, f"rounds must be >= 0, got {cfg.rounds}"),
-        (not _positive(cfg.reference_tol), "reference_tol must be positive and finite"),
         (not cfg.seeds, "need at least one seed"),
         (min(cfg.seeds, default=0) < 0 or (cfg.graph_seed or 0) < 0, "seeds must be >= 0"),
     )
@@ -206,19 +193,20 @@ def build_instance(cfg: ExperimentConfig, seed: int) -> CompositeObjective:
     return obj
 
 
-def _solve_reference(cfg: ExperimentConfig, objective: CompositeObjective, digest: str,
+def _solve_reference(objective: CompositeObjective, digest: str,
                      cache_dir: Path) -> ReferenceSolution:
-    """Solve `objective` centrally and write the solution, named by the
-    instance `digest`, to `cache_dir` as an output of the sweep."""
-    sol = solve_centralized(objective, tol=cfg.reference_tol)
+    """Solve `objective` centrally to `REFERENCE_TOL` and write the solution,
+    named by the instance `digest`, to `cache_dir` as an output of the
+    sweep."""
+    sol = solve_centralized(objective, tol=REFERENCE_TOL)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    ref_path = cache_dir / f"reference_{digest}_tol{cfg.reference_tol:.3g}.txt"
+    ref_path = cache_dir / f"reference_{digest}_tol{REFERENCE_TOL:.3g}.txt"
     ref_path.write_text(reference_to_text(sol, digest))
     return sol
 
 
 def _schedule_dirname(spec: str) -> str:
-    return spec.replace(":", "-").replace("^", "pow").replace(".", "_")
+    return spec.replace(":", "-").replace(".", "_")
 
 
 def _fmt(value: float) -> str:
@@ -229,29 +217,17 @@ def write_trace_csv(path: Path, trace: RunTrace, series: metrics.ErgodicSeries):
     """Emit one row per round, the error columns read from the trace's
     `series`. A diverged run ends with a sentinel row of NaNs at the failing
     round."""
-    summary = metrics.broadcast_summary(trace)
+    cumulative = trace.cumulative_broadcasts()
     lines = [CSV_HEADER]
     for k, gap, cons, resid in zip(series.rounds.tolist(), series.objective_gap,
                                    series.consensus_error, series.primal_residual):
         lines.append(
             f"{k},{_fmt(gap)},{_fmt(cons)},{_fmt(resid)},"
-            f"{int(summary.cumulative[k, 0])},{int(summary.cumulative[k].sum())}"
+            f"{int(cumulative[k, 0])},{int(cumulative[k].sum())}"
         )
     if trace.diverged:
         lines.append(f"{trace.diverged_round},nan,nan,nan,nan,nan")
     path.write_text("\n".join(lines) + "\n")
-
-
-def _strong_convexity_margin(cfg_run: RunConfig) -> Optional[float]:
-    mu = cfg_run.objective.strong_convexity()
-    if np.any(mu <= 0.0):
-        return None
-    k1 = float(np.min(mu))  # midpoint of the admissible interval (0, 2 min mu)
-    check = check_stepsize_strongly_convex(
-        cfg_run.eta, cfg_run.beta, laplacian(cfg_run.graph),
-        cfg_run.objective.lipschitz(), mu, k1,
-    )
-    return check.margin
 
 
 def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
@@ -270,9 +246,8 @@ def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: 
         f"diverged {int(trace.diverged)}",
         f"stepsize_margin {_fmt(trace.stepsize_margin)}",
     ]
-    sc_margin = _strong_convexity_margin(run_cfg)
-    if sc_margin is not None:
-        lines.append(f"strong_convexity_margin {_fmt(sc_margin)}")
+    if trace.strong_convexity_margin is not None:
+        lines.append(f"strong_convexity_margin {_fmt(trace.strong_convexity_margin)}")
     if trace.diverged:
         lines.append(f"diverged_round {trace.diverged_round}")
         lines.append(f"diverged_agent {trace.diverged_agent}")
@@ -282,10 +257,10 @@ def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: 
             f"final_consensus_error {_fmt(series.consensus_error[-1])}",
             f"final_primal_residual {_fmt(series.primal_residual[-1])}",
         ]
-    summary = metrics.broadcast_summary(trace)
+    totals = trace.cumulative_broadcasts()[-1]
     lines += [
-        f"broadcasts_agent0 {int(summary.totals[0])}",
-        f"broadcasts_total {int(summary.totals.sum())}",
+        f"broadcasts_agent0 {int(totals[0])}",
+        f"broadcasts_total {int(totals.sum())}",
         f"seconds_per_round {trace.seconds_per_round:.6g}",
         f"max_dual_imbalance {_fmt(trace.max_dual_imbalance)}",
     ]
@@ -340,7 +315,7 @@ def compare_schedules(traces: dict, series: dict,
     """
     counts: dict = {}
     for spec, trace in traces.items():
-        cumulative = metrics.broadcast_summary(trace).cumulative
+        cumulative = trace.cumulative_broadcasts()
         s = series[spec]
         after_start = s.rounds >= 1
         row = []
@@ -398,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         graph_seed = cfg.graph_seed if cfg.graph_seed is not None else seed
         graph = generate_random_graph(cfg.n, cfg.graph_r, graph_seed)
         lap = laplacian(graph)
-        reference = _solve_reference(cfg, objective, digest, cache_dir)
+        reference = _solve_reference(objective, digest, cache_dir)
         seed_traces: dict = {}
         seed_series: dict = {}
 
@@ -412,7 +387,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 eta=cfg.eta_vector(cfg.n),
                 rounds=cfg.effective_rounds(),
                 seed=seed,
-                enforce_stepsize=cfg.enforce_stepsize,
+                # Hand-tuned stepsizes can violate the sufficient condition and
+                # still converge, so the margin is reported, not enforced.
+                enforce_stepsize=False,
             )
             recorder = metrics.ErgodicRecorder(objective, lap, reference.f_star,
                                                reference.x_star)
@@ -425,7 +402,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             run_dir.mkdir(parents=True, exist_ok=True)
             certificate_text = ""
             if cfg.certificate and not trace.diverged:
-                certificate_text = _certificate_block(cfg, run_cfg, trace, reference, series)
+                certificate_text = _certificate_block(run_cfg, trace, reference, series)
             write_trace_csv(run_dir / "trace.csv", trace, series)
             write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, series, certificate_text,
                           digest)
@@ -445,11 +422,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _certificate_block(cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
-                       reference: ReferenceSolution, series: metrics.ErgodicSeries) -> str:
+def _certificate_block(run_cfg: RunConfig, trace: RunTrace, reference: ReferenceSolution,
+                       series: metrics.ErgodicSeries) -> str:
     try:
-        cert = metrics.ergodic_rate_certificate(run_cfg, trace, reference, series,
-                                                cfg.dual_radius)
+        cert = metrics.ergodic_rate_certificate(run_cfg, trace, reference, series)
         return cert.to_text()
     except metrics.CertificateError as err:
         return f"certificate_skipped {err}\n"

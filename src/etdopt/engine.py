@@ -14,13 +14,12 @@ operations:
      becomes x_i;
   C. dual: z + beta L x_tilde on the fully updated copies.
 
-Delivery is implicit: L x_tilde reads every agent's current copy. A stacked
-always-broadcast stepper built from the per-agent parts is kept as an
-independent reference path for equivalence checks.
+Delivery is implicit: L x_tilde reads every agent's current copy.
 
-`run` keeps the starting point, each round's broadcast flags, two running
-diagnostics (trigger slack, dual imbalance) and the final state; it stores
-no per-round iterates. Anything else a caller wants from every round it
+`run` keeps the starting point, each round's broadcast flags (the one record
+of who broadcast when), the stepsize margins found at validation, two
+running diagnostics (trigger slack, dual imbalance) and the final state; it
+stores no per-round iterates. Anything else a caller wants from every round it
 computes in an `observe` callable as the round happens (see
 `metrics.ErgodicRecorder`).
 """
@@ -35,8 +34,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import trigger as trig
-from .graph import Graph, check_stepsize_composite, is_connected, laplacian, max_eigenvalue
-from .objective import CompositeObjective, soft_threshold
+from .graph import (Graph, check_stepsize_composite, check_stepsize_strongly_convex,
+                    is_connected, laplacian, max_eigenvalue)
+from .objective import CompositeObjective
 
 
 class ConfigError(ValueError):
@@ -90,7 +90,6 @@ class RunConfig:
     rounds: int
     seed: int = 0
     x0: Optional[np.ndarray] = None
-    z0: Optional[np.ndarray] = None
     enforce_stepsize: bool = True
 
     def __post_init__(self):
@@ -109,7 +108,9 @@ class RunConfig:
 
     def validate(self):
         """Check shapes, positivity and the stepsize condition. Returns the
-        stepsize check result for reporting."""
+        smallest eigenvalues of diag(eta) - beta L - diag(L_f) and, where
+        every modulus mu_i > 0, of diag(eta) - beta L - diag(L_f**2) / min mu
+        (k1 = min mu is the midpoint of its interval (0, 2 min mu)); else None."""
         g, obj = self.graph, self.objective
         if g.n != obj.n:
             raise ConfigError(f"graph has {g.n} nodes but objective has {obj.n} agents")
@@ -121,24 +122,28 @@ class RunConfig:
             raise ConfigError("eta must be positive and finite, one entry per agent")
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
-        for name, arr in (("x0", self.x0), ("z0", self.z0)):
-            if arr is not None and np.asarray(arr).shape != (g.n, obj.m):
-                raise ConfigError(f"{name} must have shape ({g.n}, {obj.m})")
-        check = check_stepsize_composite(self.eta, self.beta, laplacian(g), obj.lipschitz())
+        if self.x0 is not None and np.asarray(self.x0).shape != (g.n, obj.m):
+            raise ConfigError(f"x0 must have shape ({g.n}, {obj.m})")
+        lap, lf = laplacian(g), obj.lipschitz()
+        check = check_stepsize_composite(self.eta, self.beta, lap, lf)
         if not check.ok:
             msg = f"stepsize condition violated (margin {check.margin:.3e})"
             if self.enforce_stepsize:
                 raise ConfigError(msg)
             warnings.warn(msg, stacklevel=2)
-        return check
+        mu = obj.strong_convexity()
+        if np.any(mu <= 0.0):
+            return check.margin, None
+        strong = check_stepsize_strongly_convex(self.eta, self.beta, lap, lf, mu,
+                                                float(np.min(mu)))
+        return check.margin, strong.margin
 
 
 @dataclass(frozen=True)
 class NetworkState:
     """All agents at one synchronization point, as read-only stacks: row i
     of `x`, `z` and `x_tilde` is agent i's primal iterate, dual variable and
-    last broadcast copy. `broadcast_count` counts each agent's broadcasts
-    from round 0 on, and `fired` flags this round's broadcasters.
+    last broadcast copy, and `fired` flags this round's broadcasters.
     `trigger_slack` is each agent's deviation ||x_i - x_tilde_i|| after this
     round's broadcasts minus the round's threshold; it is None at round 0
     and under the periodic schedule."""
@@ -146,7 +151,6 @@ class NetworkState:
     x: np.ndarray
     z: np.ndarray
     x_tilde: np.ndarray
-    broadcast_count: np.ndarray
     fired: np.ndarray
     round: int
     trigger_slack: Optional[np.ndarray] = None
@@ -170,14 +174,12 @@ def state_broadcast(state: NetworkState) -> np.ndarray:
 
 
 def initial_state(config: RunConfig) -> NetworkState:
-    """Round 0: dual variables at zero (unless overridden) and an
-    unconditional broadcast of every agent's starting point."""
+    """Round 0: dual variables at zero and an unconditional broadcast of
+    every agent's starting point."""
     n, m = config.n, config.m
     x0 = np.zeros((n, m)) if config.x0 is None else np.array(config.x0, dtype=np.float64)
-    z0 = np.zeros((n, m)) if config.z0 is None else np.array(config.z0, dtype=np.float64)
     x0 = _frozen(x0)
-    return NetworkState(x=x0, z=_frozen(z0), x_tilde=x0,
-                        broadcast_count=_frozen(np.ones(n, dtype=np.int64)),
+    return NetworkState(x=x0, z=_frozen(np.zeros((n, m))), x_tilde=x0,
                         fired=_frozen(np.ones(n, dtype=bool)), round=0)
 
 
@@ -226,25 +228,7 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
     z = dual_step(state.z, lap, x_tilde, beta)
     _check_finite(z, k)
     return NetworkState(x=_frozen(x), z=_frozen(z), x_tilde=_frozen(x_tilde),
-                        broadcast_count=_frozen(state.broadcast_count + fired),
                         fired=_frozen(fired), round=k, trigger_slack=slack)
-
-
-def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective,
-                     lap: np.ndarray, eta: np.ndarray, beta: float):
-    """Stacked always-broadcast iteration: a proximal step on the linearized
-    augmented Lagrangian followed by dual ascent. Reference path for the
-    event-triggered engine under an all-zero schedule; it takes gradients
-    from the per-agent losses, apart from the objective's stack, and the
-    prox as a soft threshold at each agent's l1 weight over eta_i."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    grad = np.stack([f.gradient(x[i]) for i, f in enumerate(objective.smooth)])
-    v = x - (z + grad + beta * (lap @ x)) / eta[:, None]
-    x_new = soft_threshold(v, ((1.0 / eta) * objective.tau)[:, None])
-    z_new = z + beta * (lap @ x_new)
-    return x_new, z_new
 
 
 @dataclass
@@ -267,6 +251,8 @@ class RunTrace:
     `max_trigger_slack` is the worst observed deviation-minus-threshold
     (must stay <= 0 for event rules; None for the periodic scheme) and
     `max_dual_imbalance` the worst |sum_i z_i| relative to n * ||z||_inf.
+    `stepsize_margin` and `strong_convexity_margin` are the two margins
+    `RunConfig.validate` returned.
     """
 
     config: RunConfig
@@ -279,6 +265,7 @@ class RunTrace:
     final_state: Optional[NetworkState] = None
     elapsed_seconds: float = 0.0
     stepsize_margin: float = float("nan")
+    strong_convexity_margin: Optional[float] = None
 
     @property
     def completed_rounds(self) -> int:
@@ -289,12 +276,11 @@ class RunTrace:
         """The primal stack at round 0."""
         return self.records[0].x
 
-    def broadcast_matrix(self) -> np.ndarray:
-        return np.stack([rec.broadcasts for rec in self.records])
-
-    @property
-    def initial_dual_is_zero(self) -> bool:
-        return bool(np.all(self.records[0].z == 0.0))
+    def cumulative_broadcasts(self) -> np.ndarray:
+        """(rounds+1, n) running broadcast counts per agent, round 0
+        included; the last row is each agent's total."""
+        return np.cumsum(np.stack([rec.broadcasts for rec in self.records]), axis=0,
+                         dtype=np.int64)
 
     @property
     def seconds_per_round(self) -> float:
@@ -311,10 +297,11 @@ def run(config: RunConfig,
     Divergence does not raise: the returned trace is flagged and holds the
     rounds completed before the non-finite iterate appeared.
     """
-    check = config.validate()
+    margin, strong_margin = config.validate()
     n = config.n
     event_rule = config.schedule.is_event_rule
-    trace = RunTrace(config=config)
+    trace = RunTrace(config=config, stepsize_margin=margin,
+                     strong_convexity_margin=strong_margin)
     started = time.perf_counter()
 
     state = initial_state(config)
@@ -350,5 +337,4 @@ def run(config: RunConfig,
 
     trace.final_state = state
     trace.elapsed_seconds = time.perf_counter() - started
-    trace.stepsize_margin = check.margin
     return trace

@@ -1,6 +1,7 @@
-"""Per-round errors of a run, broadcast accounting, decay rate fits, and a
-computable certificate for the ergodic O(1/t) bound that the always-valid
-threshold budget implies for summable schedules.
+"""Per-round errors of a run, decay rate fits, and a computable certificate for
+the ergodic O(1/t) bound that the always-valid threshold budget implies for
+summable schedules. Broadcast counts are the trace's own
+(`RunTrace.cumulative_broadcasts`).
 
 `ErgodicRecorder` is the observer `engine.run` calls once per round: it keeps
 the running sum of the primal stacks and records, as each round happens, the
@@ -13,13 +14,12 @@ the resulting `ErgodicSeries` plus the trace's round 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import trigger as trig
 from .engine import NetworkState, RunConfig, RunTrace
-from .graph import check_stepsize_composite, eigh, laplacian, laplacian_norm
+from .graph import eigh, laplacian, laplacian_norm
 from .objective import CompositeObjective
 from .reference import ReferenceSolution, dual_from_reference
 
@@ -28,15 +28,6 @@ _ZERO_EIG_RTOL = 1e-9
 
 class CertificateError(ValueError):
     """Certificate preconditions not met."""
-
-
-def signed_objective_gap(objective: CompositeObjective, v: np.ndarray, f_star: float) -> float:
-    return objective.stacked_value(v) - f_star
-
-
-def objective_gap(objective: CompositeObjective, v: np.ndarray, f_star: float) -> float:
-    """|F(v) - F*| with agent i's block evaluated in its own objective."""
-    return abs(signed_objective_gap(objective, v, f_star))
 
 
 @dataclass
@@ -85,7 +76,7 @@ class ErgodicRecorder:
         else:
             self._sum += state.x
             point = self._sum / k
-        self._rows.append((signed_objective_gap(self._objective, point, self._f_star),
+        self._rows.append((self._objective.stacked_value(point) - self._f_star,
                            self._norm(point), dist / self._start if self._start > 0.0 else dist))
 
     def series(self) -> ErgodicSeries:
@@ -93,18 +84,6 @@ class ErgodicRecorder:
         gap, cons, resid = np.array(self._rows, dtype=np.float64).reshape(-1, 3).T
         return ErgodicSeries(rounds=np.arange(len(self._rows)), signed_gap=gap,
                              consensus_error=cons, primal_residual=resid)
-
-
-@dataclass
-class BroadcastSummary:
-    totals: np.ndarray      # per-agent broadcast counts, round 0 included
-    cumulative: np.ndarray  # (rounds+1, n) running counts per agent
-
-
-def broadcast_summary(trace: RunTrace) -> BroadcastSummary:
-    flags = trace.broadcast_matrix()
-    cumulative = np.cumsum(flags.astype(np.int64), axis=0)
-    return BroadcastSummary(totals=cumulative[-1].copy(), cumulative=cumulative)
 
 
 @dataclass
@@ -156,7 +135,8 @@ class ErgodicRateCertificate:
     `trigger_gain` multiplies the threshold budget, `residual_gain` lower
     bounds the residual curvature, `error_budget[i]` is the accumulated
     triggering contribution at t_values[i], and `dual_radius` is the free
-    constant that must exceed the optimal dual norm.
+    constant of the bound, fixed at 2 (dual_norm + 1) so that it exceeds the
+    optimal dual norm.
     """
 
     trigger_gain: float
@@ -216,34 +196,28 @@ def ergodic_rate_certificate(
     trace: RunTrace,
     reference: ReferenceSolution,
     series: ErgodicSeries,
-    dual_radius: Optional[float] = None,
 ) -> ErgodicRateCertificate:
     """Evaluate the ergodic error bounds at every round of the trace and
     compare them with the measured trajectory, read from the trace's
     `series`.
 
-    Requires: a summable schedule, zero initial duals, a certified
-    reference, a positive stepsize margin, strictly positive smooth
-    curvature bounds, and dual_radius above the optimal dual norm (None
-    picks twice the norm plus a unit of slack).
+    Requires: a summable schedule, a certified reference, a positive
+    stepsize margin (the trace's) and strictly positive smooth curvature
+    bounds.
     """
     g, obj = config.graph, config.objective
     n = g.n
     if not config.schedule.is_summable:
         raise CertificateError("certificate requires a summable threshold schedule")
-    if not trace.initial_dual_is_zero:
-        raise CertificateError("certificate requires zero initial dual variables")
     if not reference.certified:
         raise CertificateError("reference solution is not certified to its tolerance")
     lf = obj.lipschitz()
     if np.any(lf <= 0.0):
         raise CertificateError("certificate requires positive smooth curvature for every agent")
+    if not trace.stepsize_margin > 0.0:
+        raise CertificateError(f"stepsize margin is not positive ({trace.stepsize_margin:.3e})")
 
     lap = laplacian(g)
-    check = check_stepsize_composite(config.eta, config.beta, lap, lf)
-    if not check.ok:
-        raise CertificateError(f"stepsize margin is not positive ({check.margin:.3e})")
-
     eigvals, eigvecs = eigh(lap)
     lam_max = float(eigvals[-1])
     positive = eigvals > _ZERO_EIG_RTOL * max(lam_max, 1.0)
@@ -252,12 +226,7 @@ def ergodic_rate_certificate(
 
     z_star = dual_from_reference(obj, reference.x_star)
     dual_norm = _least_norm_dual_norm(eigvals, eigvecs, z_star)
-    if dual_radius is None:
-        dual_radius = 2.0 * (dual_norm + 1.0)
-    if not dual_radius > dual_norm:
-        raise CertificateError(
-            f"dual_radius must exceed the optimal dual norm {dual_norm:.6g}, got {dual_radius}"
-        )
+    dual_radius = 2.0 * (dual_norm + 1.0)
 
     # Spectrum of beta*L + 11^T/n: 1 on the all-ones line, beta*lambda elsewhere.
     coupling_max = max(1.0, config.beta * lam_max)
@@ -291,7 +260,7 @@ def ergodic_rate_certificate(
     return ErgodicRateCertificate(
         trigger_gain=trigger_gain,
         residual_gain=residual_gain,
-        dual_radius=float(dual_radius),
+        dual_radius=dual_radius,
         dual_norm=dual_norm,
         start_distance=start_distance,
         coupling_norm=coupling_norm,

@@ -335,8 +335,8 @@ def make_logistic_instance(n: int, m_i: int, m: int, seed: int, ridge: float = 0
 
 def make_quadratic_instance(n: int, m: int, seed: int) -> CompositeObjective:
     """Separable strongly convex instance with per-agent diagonal curvature
-    in [1, 2] and seeded centers. The centralized minimizer has the closed
-    form given by `quadratic_minimizer`."""
+    in [1, 2] and seeded centers. The centralized minimizer has a closed
+    form: the center of `objective.stack.pooled()`."""
     if min(n, m) < 1:
         raise ValueError("n, m must be positive")
     rng = np.random.default_rng(seed)
@@ -346,19 +346,6 @@ def make_quadratic_instance(n: int, m: int, seed: int) -> CompositeObjective:
         c = rng.standard_normal(m)
         smooth.append(DiagonalQuadraticLoss(d, c))
     return CompositeObjective(smooth, np.zeros(n))
-
-
-def quadratic_minimizer(objective: CompositeObjective) -> np.ndarray:
-    """Closed-form centralized minimizer (sum of diagonals)^-1 (weighted
-    center sum) for a pure diagonal-quadratic instance."""
-    if not isinstance(objective.stack, _QuadraticStack) or np.any(objective.tau):
-        raise ValueError("closed form only applies to pure diagonal-quadratic instances")
-    total_d = np.zeros(objective.m)
-    total_dc = np.zeros(objective.m)
-    for f in objective.smooth:
-        total_d += f.diag
-        total_dc += f.diag * f.center
-    return total_dc / total_d
 
 
 def instance_hash(objective: CompositeObjective) -> str:

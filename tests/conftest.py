@@ -1,4 +1,5 @@
-"""Shared builders for engine-level tests."""
+"""Shared builders for engine-level tests, and the stacked matrix form of the
+iteration they check the engine against."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from etdopt.objective import (
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
+    soft_threshold,
 )
 from etdopt.trigger import parse_schedule
 
@@ -114,6 +116,23 @@ def consensus_run_config(n=12, m=3, seed=3, schedule="zero", rounds=200, graph_r
         x0=x0,
         **kwargs,
     )
+
+
+def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective,
+                     lap: np.ndarray, eta: np.ndarray, beta: float):
+    """Stacked always-broadcast iteration: a proximal step on the linearized
+    augmented Lagrangian followed by dual ascent. Reference path for the
+    event-triggered engine under an all-zero schedule; it takes gradients
+    from the per-agent losses, apart from the objective's stack, and the
+    prox as a soft threshold at each agent's l1 weight over eta_i."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    eta = np.asarray(eta, dtype=np.float64)
+    grad = np.stack([f.gradient(x[i]) for i, f in enumerate(objective.smooth)])
+    v = x - (z + grad + beta * (lap @ x)) / eta[:, None]
+    x_new = soft_threshold(v, ((1.0 / eta) * objective.tau)[:, None])
+    z_new = z + beta * (lap @ x_new)
+    return x_new, z_new
 
 
 def drive_states(config: RunConfig) -> list:

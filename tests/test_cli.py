@@ -11,6 +11,7 @@ import pytest
 
 from etdopt.cli import (
     CSV_HEADER,
+    REFERENCE_TOL,
     ConfigFileError,
     ExperimentConfig,
     build_instance,
@@ -180,7 +181,7 @@ class TestRunExperiment:
         name = f"reference_{digest}_tol1e-10.txt"
         assert [p.name for p in cache.iterdir()] == [name]
         assert (cache / name).read_text() == reference_to_text(
-            solve_centralized(objective, tol=cfg.reference_tol), digest)
+            solve_centralized(objective, tol=REFERENCE_TOL), digest)
 
     def test_stale_reference_file_is_not_trusted(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -204,7 +205,7 @@ class TestRunExperiment:
 
     def test_divergent_run_recorded_and_flagged(self, tmp_path):
         cfg = small_cfg(tmp_path, problem="quadratic", eta=(0.001,), beta=1.0,
-                        rounds=400, enforce_stepsize=False)
+                        rounds=400)
         result = run_experiment(cfg)
         assert result.exit_code == 1
         assert result.diverged_runs
@@ -212,9 +213,15 @@ class TestRunExperiment:
         assert csv_lines[-1].endswith("nan,nan,nan,nan,nan")
         assert "diverged 1" in (result.run_dirs[0] / "summary.txt").read_text()
 
+    def test_overflowing_polynomial_threshold_run_completes(self, tmp_path):
+        # 35**200 is past the float range; the threshold underflows instead.
+        result = run_experiment(small_cfg(tmp_path, schedule="poly:1:200", rounds=50))
+        assert result.exit_code == 0
+        assert len((result.run_dirs[0] / "trace.csv").read_text().splitlines()) == 52
+
     def test_certificate_block_written(self, tmp_path):
         cfg = small_cfg(tmp_path, certificate=True, beta=0.05, eta=(3.0,),
-                        schedule="poly:0.5:1.5", rounds=100, enforce_stepsize=True)
+                        schedule="poly:0.5:1.5", rounds=100)
         result = run_experiment(cfg)
         summary = (result.run_dirs[0] / "summary.txt").read_text()
         assert "consensus_bound_holds 1" in summary
@@ -247,7 +254,7 @@ class TestNonDegenerateLasso:
         (run_dir,) = result.run_dirs
         summary = dict(line.partition(" ")[::2]
                        for line in (run_dir / "summary.txt").read_text().splitlines())
-        reference = solve_centralized(objective, tol=cfg.reference_tol)
+        reference = solve_centralized(objective, tol=REFERENCE_TOL)
         (ref_path,) = (tmp_path / "runs" / "cache").glob("reference_*.txt")
         assert ref_path.read_text() == reference_to_text(reference, instance_hash(objective))
         assert reference.certified
@@ -272,10 +279,11 @@ class TestCompareSchedules:
         assert all(ratio == pytest.approx(1.0) for _, ratio in reached)
 
     def test_frozen_schedule_never_reaches(self, tmp_path):
-        cfg = small_cfg(tmp_path, compare=("poly:inf:2", "zero"), rounds=800)
+        # A threshold above every deviation (an infinite base is rejected).
+        cfg = small_cfg(tmp_path, compare=("poly:1e300:2", "zero"), rounds=800)
         result = run_experiment(cfg)
         table = result.tables[1]
-        assert all(c is None for c in table.broadcasts["poly:inf:2"])
+        assert all(c is None for c in table.broadcasts["poly:1e+300:2"])
         rendered = table.render()
         assert "—" in rendered
 
@@ -349,8 +357,8 @@ class TestMain:
         # --seed sets the `seeds` key; a key with no flag keeps its --key form
         assert main(["--seed", "abc", "--out", str(tmp_path / "o")]) == 2
         assert "error: flag --seed: " in capsys.readouterr().err
-        with pytest.raises(ConfigFileError, match="flag --dual-radius: "):
-            parse_config(overrides={"dual_radius": "abc"})
+        with pytest.raises(ConfigFileError, match="flag --tau: "):
+            parse_config(overrides={"tau": "abc"})
 
     def test_overflowing_schedule_flag_exits_2(self, tmp_path, capsys):
         assert main(["--schedule", "poly:2^1e5:1", "--out", str(tmp_path / "o")]) == 2
@@ -362,6 +370,21 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown key 'variant'" in err
+
+    @pytest.mark.parametrize("line", ["reference_tol = 1e-8", "dual_radius = 5",
+                                      "enforce_stepsize = true"])
+    def test_removed_run_option_keys_exit_2(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "removed.cfg"
+        cfg_path.write_text(line + "\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unknown key '{line.split()[0]}'" in err
+
+    @pytest.mark.parametrize("spec", ["poly:inf:2", "poly:1e400:2", "exp:inf:0.97"])
+    def test_non_finite_schedule_exits_2(self, tmp_path, capsys, spec):
+        assert main(["--schedule", spec, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
 
     def test_unconnectable_graph_exits_2(self, tmp_path, capsys):
         # an edge budget of round(0.1 * 10) = 1 cannot connect 5 nodes

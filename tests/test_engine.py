@@ -1,4 +1,5 @@
-"""Tests for the synchronous round loop and its reference stepper."""
+"""Tests for the synchronous round loop, checked against the matrix form of
+the iteration."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import (
     consensus_run_config,
     drive_states,
     lasso_run_config,
+    matrix_lalm_step,
     max_relative_deviation,
     pure_l1_run_config,
     quadratic_run_config,
@@ -17,7 +19,6 @@ from etdopt.engine import (
     RunConfig,
     dual_step,
     initial_state,
-    matrix_lalm_step,
     primal_step,
     run,
     run_round,
@@ -33,11 +34,15 @@ from etdopt.objective import (
     LeastSquaresLoss,
     ZeroSmooth,
     make_quadratic_instance,
-    quadratic_minimizer,
     soft_threshold,
 )
 from etdopt.reference import dual_from_reference, solve_centralized
 from etdopt.trigger import every_n, parse_schedule, polynomial, row_norms, threshold
+
+
+def round_flags(trace):
+    """(rounds+1, n) broadcast flags, one row per trace record."""
+    return np.stack([rec.broadcasts for rec in trace.records])
 
 
 def k2_graph():
@@ -179,9 +184,10 @@ class TestRunRound:
 
     def test_infinite_threshold_freezes_broadcasts(self):
         cfg = lasso_run_config(n=5, rounds=20, schedule="zero")
-        cfg.schedule = polynomial(float("inf"), 2.0)
+        # No deviation comes near this threshold (an infinite base is rejected).
+        cfg.schedule = polynomial(1e300, 2.0)
         trace = run(cfg)
-        assert np.all(trace.final_state.broadcast_count == 1)
+        assert np.all(trace.cumulative_broadcasts()[-1] == 1)
         assert np.array_equal(state_broadcast(trace.final_state), trace.x0)
 
     def test_pure_consensus_conserves_column_sums(self):
@@ -195,17 +201,19 @@ class TestRunRound:
     def test_every_n_modulus_rule(self):
         cfg = lasso_run_config(n=4, rounds=10, schedule="everyN:2")
         trace = run(cfg)
-        flags = trace.broadcast_matrix()
+        flags = round_flags(trace)
         for k in range(11):
             expected = 1 if (k % 2 == 0) else 0
             assert np.all(flags[k] == expected)
-        assert np.all(trace.final_state.broadcast_count == 6)
+        assert np.all(trace.cumulative_broadcasts()[-1] == 6)
 
     @pytest.mark.parametrize("schedule", ["poly:1:1.2", "exp:1:0.9", "everyN:3", "zero"])
     def test_round_flags_sum_to_final_counts(self, schedule):
         trace = run(lasso_run_config(n=6, rounds=40, schedule=schedule))
-        flags = trace.broadcast_matrix()
-        assert np.array_equal(flags.sum(axis=0), trace.final_state.broadcast_count)
+        flags = round_flags(trace)
+        cumulative = trace.cumulative_broadcasts()
+        assert cumulative.shape == (41, 6) and cumulative.dtype == np.int64
+        assert np.array_equal(cumulative, np.cumsum(flags, axis=0))
         assert np.array_equal(flags[-1], trace.final_state.fired)
 
 
@@ -256,7 +264,7 @@ class TestRun:
     def test_quadratic_converges_to_closed_form(self):
         cfg = quadratic_run_config(n=10, m=3, seed=2, rounds=3000, schedule="exp:1:0.9")
         trace = run(cfg)
-        x_star = quadratic_minimizer(cfg.objective)
+        x_star = cfg.objective.stack.pooled().center
         assert trace.final_state.round == 3000
         err = np.max(np.linalg.norm(trace.final_state.x - x_star[None, :], axis=1))
         assert err <= 1e-6
@@ -267,7 +275,7 @@ class TestRun:
             b = run(lasso_run_config(n=5, rounds=40, schedule=schedule))
             assert np.array_equal(a.final_state.x, b.final_state.x)
             assert np.array_equal(a.final_state.z, b.final_state.z)
-            assert np.array_equal(a.broadcast_matrix(), b.broadcast_matrix())
+            assert np.array_equal(a.cumulative_broadcasts(), b.cumulative_broadcasts())
             states_a = drive_states(lasso_run_config(n=5, rounds=40, schedule=schedule))
             states_b = drive_states(lasso_run_config(n=5, rounds=40, schedule=schedule))
             for sa, sb in zip(states_a, states_b, strict=True):
@@ -278,7 +286,7 @@ class TestRun:
         cfg = lasso_run_config(n=4, rounds=25, schedule="poly:5:1.4")
         trace = run(cfg)
         assert len(trace.records) == 26
-        flags = trace.broadcast_matrix()
+        flags = round_flags(trace)
         assert np.all(flags[0] == 1)
         assert flags.min() >= 0 and flags.max() <= 1
 
@@ -426,5 +434,22 @@ class TestConfigValidation:
 
     def test_suggested_stepsizes_pass_check(self):
         cfg = lasso_run_config(n=9, rounds=0)
-        check = cfg.validate()
-        assert check.ok and check.margin > 0
+        margin, strong_margin = cfg.validate()
+        assert margin > 0
+        assert strong_margin is None  # the lasso's moduli are zero
+
+    def test_margins_match_eigenvalues(self):
+        cfg = quadratic_run_config(n=8, m=3, seed=4, rounds=0, regime="strongly-convex")
+        margin, strong_margin = cfg.validate()
+        lap = laplacian(cfg.graph)
+        lf, mu = cfg.objective.lipschitz(), cfg.objective.strong_convexity()
+        weight = np.diag(cfg.eta) - cfg.beta * lap
+        assert margin == pytest.approx(np.linalg.eigvalsh(weight - np.diag(lf))[0], abs=1e-12)
+        expected = np.linalg.eigvalsh(weight - np.diag(lf**2) / np.min(mu))[0]
+        assert strong_margin == pytest.approx(expected, abs=1e-12)
+        assert strong_margin < margin
+
+    def test_margins_recorded_on_trace(self):
+        cfg = quadratic_run_config(n=6, m=2, seed=5, rounds=3)
+        trace = run(cfg)
+        assert (trace.stepsize_margin, trace.strong_convexity_margin) == cfg.validate()

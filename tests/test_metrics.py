@@ -19,17 +19,13 @@ from etdopt.graph import Graph, laplacian, laplacian_quadratic_norm
 from etdopt.metrics import (
     CertificateError,
     ErgodicRecorder,
-    broadcast_summary,
     ergodic_rate_certificate,
-    objective_gap,
     rate_fit,
-    signed_objective_gap,
 )
 from etdopt.objective import (
     CompositeObjective,
     LeastSquaresLoss,
     ZeroSmooth,
-    quadratic_minimizer,
 )
 from etdopt.reference import solve_centralized
 
@@ -100,7 +96,7 @@ class TestErgodicAverage:
         for state in drive_states(cfg)[1:]:
             direct += state.x
         direct /= 80
-        expected = signed_objective_gap(cfg.objective, direct, reference.f_star)
+        expected = cfg.objective.stacked_value(direct) - reference.f_star
         assert series.signed_gap[80] == pytest.approx(expected, rel=1e-12, abs=1e-14)
         assert series.consensus_error[80] == pytest.approx(
             laplacian_quadratic_norm(laplacian(cfg.graph), direct), rel=1e-12, abs=1e-14)
@@ -134,7 +130,7 @@ class TestStreamedSeries:
         cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero",
                                    enforce_stepsize=False)
         cfg.eta = np.full(6, 1e-3)  # badly undersized weights blow up
-        x_star = quadratic_minimizer(cfg.objective)
+        x_star = cfg.objective.stack.pooled().center
         f_star = cfg.objective.stacked_value(np.tile(x_star, (6, 1)))
         with pytest.warns(UserWarning):
             trace, series = run_with_series(cfg, f_star, x_star)
@@ -176,21 +172,25 @@ class TestConsensusError:
 
 
 class TestObjectiveGap:
+    """The recorder's gap column, F(point) - F*, and its absolute value."""
+
     def test_replicated_optimum_gap_is_solver_level(self):
         obj = scalar_lasso_objective()
         sol = solve_centralized(obj, tol=1e-12)
-        v = sol.x_star[None, :]
-        assert objective_gap(obj, v, sol.f_star) <= 1e-12
+        series = recorded([sol.x_star[None, :]], objective=obj, f_star=sol.f_star)
+        assert series.objective_gap[0] <= 1e-12
 
     def test_origin_gap_on_scalar_problem(self):
         obj = scalar_lasso_objective()
         # F(0) = 4.5 and F* = 2.5
-        assert objective_gap(obj, np.zeros((1, 1)), 2.5) == pytest.approx(2.0)
+        series = recorded([np.zeros((1, 1))], objective=obj, f_star=2.5)
+        assert series.objective_gap[0] == pytest.approx(2.0)
 
     def test_nonnegative(self):
         obj = scalar_lasso_objective()
-        assert objective_gap(obj, np.array([[5.0]]), 100.0) >= 0.0
-        assert signed_objective_gap(obj, np.array([[5.0]]), 100.0) < 0.0
+        series = recorded([np.array([[5.0]])], objective=obj, f_star=100.0)
+        assert series.objective_gap[0] >= 0.0
+        assert series.signed_gap[0] < 0.0
 
 
 class TestPrimalResidual:
@@ -207,7 +207,7 @@ class TestPrimalResidual:
 
     def test_converged_run_residual_small(self):
         cfg = quadratic_run_config(n=8, m=3, seed=4, rounds=2500, schedule="exp:1:0.9")
-        x_star = quadratic_minimizer(cfg.objective)
+        x_star = cfg.objective.stack.pooled().center
         _, series = run_with_series(cfg, 0.0, x_star)
         assert series.primal_residual[2500] <= 1e-4
         assert series.primal_residual[0] == pytest.approx(1.0)
@@ -216,26 +216,26 @@ class TestPrimalResidual:
 class TestBroadcastSummary:
     def test_periodic_two_over_ten_rounds(self):
         cfg = lasso_run_config(n=4, rounds=10, schedule="everyN:2")
-        summary = broadcast_summary(run(cfg))
-        assert np.all(summary.totals == 6)  # round 0 plus rounds 2,4,...,10
+        totals = run(cfg).cumulative_broadcasts()[-1]
+        assert np.all(totals == 6)  # round 0 plus rounds 2,4,...,10
 
     def test_always_broadcast_counts(self):
         cfg = lasso_run_config(n=4, rounds=15, schedule="zero")
-        summary = broadcast_summary(run(cfg))
-        assert np.all(summary.totals == 16)
+        totals = run(cfg).cumulative_broadcasts()[-1]
+        assert np.all(totals == 16)
 
     def test_frozen_schedule_counts_stay_one(self):
         from etdopt.trigger import polynomial
 
         cfg = lasso_run_config(n=4, rounds=15, schedule="zero")
-        cfg.schedule = polynomial(float("inf"), 2.0)
-        summary = broadcast_summary(run(cfg))
-        assert np.all(summary.totals == 1)
+        cfg.schedule = polynomial(1e300, 2.0)  # above every deviation
+        totals = run(cfg).cumulative_broadcasts()[-1]
+        assert np.all(totals == 1)
 
     def test_cumulative_curve_monotone(self):
         cfg = lasso_run_config(n=5, rounds=30, schedule="poly:1:1.2")
-        summary = broadcast_summary(run(cfg))
-        assert np.all(np.diff(summary.cumulative, axis=0) >= 0)
+        cumulative = run(cfg).cumulative_broadcasts()
+        assert np.all(np.diff(cumulative, axis=0) >= 0)
 
 
 class TestRateFit:
@@ -300,22 +300,22 @@ class TestErgodicRateCertificate:
         assert cert.objective_ok
         assert cert.t_values[-1] == 2000
 
-    def test_radius_must_exceed_dual_norm(self):
-        cfg, trace, reference, series = self.make_run(rounds=30)
-        with pytest.raises(CertificateError):
-            ergodic_rate_certificate(cfg, trace, reference, series, dual_radius=0.0)
+    def test_dual_radius_exceeds_dual_norm(self):
+        cert = ergodic_rate_certificate(*self.make_run(rounds=30))
+        assert cert.dual_radius == 2.0 * (cert.dual_norm + 1.0)
+
+    def test_nonpositive_stepsize_margin_rejected(self):
+        cfg, _, reference, _ = self.make_run(rounds=5)
+        cfg.enforce_stepsize = False
+        cfg.eta = cfg.eta / 4.0
+        with pytest.warns(UserWarning):
+            trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
+        assert trace.stepsize_margin <= 0.0
+        with pytest.raises(CertificateError, match="stepsize margin"):
+            ergodic_rate_certificate(cfg, trace, reference, series)
 
     def test_periodic_schedule_rejected(self):
         cfg, trace, reference, series = self.make_run(schedule="everyN:2", rounds=30)
-        with pytest.raises(CertificateError):
-            ergodic_rate_certificate(cfg, trace, reference, series)
-
-    def test_nonzero_initial_dual_rejected(self):
-        cfg = lasso_run_config(n=5, m=3, rounds=20, schedule="zero")
-        z0 = np.random.default_rng(1).standard_normal((5, 3))
-        cfg.z0 = z0 - z0.mean(axis=0)  # keep the column sums at zero
-        reference = solve_centralized(cfg.objective, tol=1e-12)
-        trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
         with pytest.raises(CertificateError):
             ergodic_rate_certificate(cfg, trace, reference, series)
 
@@ -351,9 +351,10 @@ class TestEmpiricalRegularities:
 
     def test_summable_schedule_broadcasts_at_most_zero_schedule(self):
         kwargs = dict(n=8, m=4, rounds=300)
-        triggered = broadcast_summary(run(lasso_run_config(schedule="poly:1:1.2", **kwargs)))
-        always = broadcast_summary(run(lasso_run_config(schedule="zero", **kwargs)))
-        assert triggered.totals.sum() <= always.totals.sum()
+        triggered = run(lasso_run_config(schedule="poly:1:1.2", **kwargs))
+        always = run(lasso_run_config(schedule="zero", **kwargs))
+        total = [trace.cumulative_broadcasts()[-1].sum() for trace in (triggered, always)]
+        assert total[0] <= total[1]
 
 
 class TestLinearRateUnderStrongConvexity:
@@ -371,7 +372,7 @@ class TestLinearRateUnderStrongConvexity:
             rounds = 200
             cfg = quadratic_run_config(n=10, m=3, seed=2, rounds=rounds, schedule="exp:1:0.9",
                                        regime="strongly-convex")
-            x_star = quadratic_minimizer(cfg.objective)
+            x_star = cfg.objective.stack.pooled().center
         else:
             rounds = 500
             cfg = logistic_run_config(n=10, m_i=8, m=5, seed=1, ridge=1.0, rounds=rounds,

@@ -15,7 +15,6 @@ from etdopt.objective import (
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
-    quadratic_minimizer,
     soft_threshold,
 )
 
@@ -213,15 +212,15 @@ class TestQuadraticInstance:
             DiagonalQuadraticLoss(np.array([1.0]), np.array([2.0])),
         ]
         obj = CompositeObjective(parts, [0.0, 0.0])
-        assert quadratic_minimizer(obj)[0] == pytest.approx(1.0)
+        assert obj.stack.pooled().center[0] == pytest.approx(1.0)
 
     def test_single_agent_center(self):
         obj = make_quadratic_instance(n=1, m=4, seed=7)
-        assert np.allclose(quadratic_minimizer(obj), obj.smooth[0].center)
+        assert np.allclose(obj.stack.pooled().center, obj.smooth[0].center)
 
     def test_total_gradient_vanishes_at_closed_form(self):
         obj = make_quadratic_instance(n=6, m=5, seed=8)
-        x_star = quadratic_minimizer(obj)
+        x_star = obj.stack.pooled().center
         total = sum(part.gradient(x_star) for part in obj.smooth)
         assert np.linalg.norm(total) <= 1e-12
 

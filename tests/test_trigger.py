@@ -38,6 +38,22 @@ class TestThreshold:
     def test_every_n_returns_marker(self):
         assert threshold(every_n(4), k=3) is None
 
+    @pytest.mark.parametrize("p, k", [(200.0, 35), (100.0, 1210), (200.0, 10**6)])
+    def test_polynomial_past_float_range_underflows(self, p, k):
+        # k**p overflows a float here; the threshold is its underflowed value.
+        with pytest.raises(OverflowError):
+            float(k) ** p
+        sched = polynomial(1.0, p)
+        assert threshold(sched, k) == float(k) ** -p
+        assert 0.0 <= threshold(sched, k) < 1e-300
+        assert threshold_envelope(sched, k) == threshold(sched, k)
+
+    def test_polynomial_in_float_range_unchanged(self):
+        sched = polynomial(20.0, 1.2)
+        for k in (1, 2, 7, 1000, 10**9):
+            assert threshold(sched, k) == 20.0 / float(k) ** 1.2
+        assert threshold(polynomial(1.0, 200.0), 34) == 1.0 / 34.0**200
+
 
 class TestScheduleValidation:
     def test_poly_requires_p_above_one(self):
@@ -189,6 +205,12 @@ class TestParseSchedule:
     @pytest.mark.parametrize("spec", ["poly:nan:2", "exp:nan:0.5"])
     def test_nan_base_rejected(self, spec):
         with pytest.raises(ScheduleError):
+            parse_schedule(spec)
+
+    @pytest.mark.parametrize("spec", ["poly:inf:2", "poly:1e400:2", "exp:inf:0.97",
+                                      "poly:1:inf"])
+    def test_non_finite_parameter_rejected(self, spec):
+        with pytest.raises(ScheduleError, match="finite"):
             parse_schedule(spec)
 
     def test_spec_string_keeps_every_digit(self):
