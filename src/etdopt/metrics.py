@@ -202,8 +202,8 @@ def ergodic_rate_certificate(
     `series`.
 
     Requires: a summable schedule, a certified reference, a positive
-    stepsize margin (the trace's) and strictly positive smooth curvature
-    bounds.
+    stepsize margin (the trace's), strictly positive smooth curvature
+    bounds and error bounds that do not overflow.
     """
     g, obj = config.graph, config.objective
     n = g.n
@@ -247,15 +247,18 @@ def ergodic_rate_certificate(
     max_t = int(t_values[-1])
     envelope = np.array([trig.threshold_envelope(config.schedule, k) for k in range(max_t)])
     cum_env = np.cumsum(envelope)
-    budget = (2.0 * trigger_gain * np.sqrt(n) / residual_gain) * cum_env[t_values - 1]
-
-    numerator = (
-        start_distance + dual_radius * coupling_norm + np.sqrt(2.0 * residual_gain) * budget
-    ) ** 2
-    margin = dual_radius - dual_norm
-    consensus_bound = numerator / (2.0 * t_values * margin)
-    objective_upper = numerator / (2.0 * t_values)
-    objective_lower = -dual_norm * numerator / (2.0 * t_values * margin)
+    # A huge schedule base overflows these to inf, a bound that holds vacuously.
+    with np.errstate(over="ignore", invalid="ignore"):
+        budget = (2.0 * trigger_gain * np.sqrt(n) / residual_gain) * cum_env[t_values - 1]
+        numerator = (
+            start_distance + dual_radius * coupling_norm + np.sqrt(2.0 * residual_gain) * budget
+        ) ** 2
+        margin = dual_radius - dual_norm
+        consensus_bound = numerator / (2.0 * t_values * margin)
+        objective_upper = numerator / (2.0 * t_values)
+        objective_lower = -dual_norm * numerator / (2.0 * t_values * margin)
+    if not np.all(np.isfinite([consensus_bound, objective_upper, objective_lower])):
+        raise CertificateError("error bounds are not finite (threshold budget overflows)")
 
     return ErgodicRateCertificate(
         trigger_gain=trigger_gain,

@@ -2,17 +2,18 @@
 
 Each agent holds a smooth loss (value, gradient, curvature constants) plus an
 l1 weight. All agents share one loss family and one array shape, so
-`CompositeObjective` stacks the losses once and evaluates the whole network
-with a few array operations; the weights form one vector whose prox is a
-soft threshold. Instance generators build the benchmark problems: sparse
-least squares, logistic regression, and a separable quadratic with a
-closed-form minimizer. `instance_hash` names an instance in outputs.
+`CompositeObjective` stacks the losses once into one loss of the same class,
+whose methods run the one-agent matmul code on a leading agent axis; the
+weights form one vector whose prox is a soft threshold. Instance generators
+build the benchmark problems: sparse least squares, logistic regression, and
+a separable quadratic with a closed-form minimizer. `instance_hash` names an instance in outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,22 +37,36 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 
 
 class ZeroSmooth:
-    """Identically-zero smooth part."""
+    """Identically-zero smooth part of dimension m, for one agent or a stack."""
+
+    lipschitz = 0.0
+    strong_convexity = 0.0
 
     def __init__(self, m: int):
         self.m = m
-        self.lipschitz = 0.0
-        self.strong_convexity = 0.0
 
     def value(self, theta) -> float:
         return 0.0
 
     def gradient(self, theta) -> np.ndarray:
-        return np.zeros(self.m)
+        return np.zeros(np.shape(theta))
+
+    def pooled(self) -> ZeroSmooth:
+        return ZeroSmooth(self.m)
+
+
+def _top_gram_eigenvalue(a: np.ndarray):
+    """lambda_max(A^T A) of each (p, m) matrix in a, on the smaller Gram side."""
+    at = a.swapaxes(-1, -2)
+    gram = a @ at if a.shape[-2] <= a.shape[-1] else at @ a
+    return np.max(np.linalg.eigvalsh(gram), axis=-1) if gram.size else 0.0
 
 
 class LeastSquaresLoss:
-    """0.5 * ||b - A theta||^2."""
+    """0.5 * ||b - A theta||^2 for A (p, m) and b (p,); a stack holds
+    A (n, p, m) and b (n, p), and sums the n losses at theta (n, m)."""
+
+    strong_convexity = 0.0
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = np.asarray(a, dtype=np.float64)
@@ -59,23 +74,30 @@ class LeastSquaresLoss:
         if self.a.ndim != 2 or self.b.shape != (self.a.shape[0],):
             raise ValueError("need A of shape (p, m) and b of shape (p,)")
         self.m = self.a.shape[1]
-        # lambda_max(A^T A) computed on the smaller Gram side.
-        p = self.a.shape[0]
-        gram = self.a @ self.a.T if p <= self.m else self.a.T @ self.a
-        self.lipschitz = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-        self.strong_convexity = 0.0
+
+    @cached_property
+    def lipschitz(self):
+        return _top_gram_eigenvalue(self.a)
+
+    def _residual(self, theta):
+        return (self.a @ theta[..., None])[..., 0] - self.b
 
     def value(self, theta) -> float:
-        r = self.b - self.a @ theta
-        return 0.5 * float(r @ r)
+        r = self._residual(theta)
+        return 0.5 * float(np.sum(r[..., None, :] @ r[..., None]))
 
     def gradient(self, theta) -> np.ndarray:
-        return self.a.T @ (self.a @ theta - self.b)
+        return (self._residual(theta)[..., None, :] @ self.a)[..., 0, :]
+
+    def pooled(self) -> LeastSquaresLoss:
+        """One loss over all the rows."""
+        return LeastSquaresLoss(self.a.reshape(-1, self.m), self.b.reshape(-1))
 
 
 class LogisticLoss:
     """Sum of ln(1 + exp(-y <x_j, theta>)) over local samples, with an
-    optional ridge term (ridge/2)*||theta||^2 supplying strong convexity."""
+    optional ridge term (ridge/2)*||theta||^2 supplying strong convexity.
+    A stack holds features (n, s, m), labels (n, s) and ridge (n,)."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float = 0.0):
         self.features = np.asarray(features, dtype=np.float64)
@@ -86,31 +108,38 @@ class LogisticLoss:
             raise ValueError("labels must be +/-1")
         if not ridge >= 0.0:
             raise ValueError(f"ridge must be >= 0, got {ridge}")
-        self.ridge = float(ridge)
+        self.ridge = np.float64(ridge)
         self.m = self.features.shape[1]
-        s = self.features.shape[0]
-        gram = self.features @ self.features.T if s <= self.m else self.features.T @ self.features
-        self.lipschitz = 0.25 * float(np.linalg.eigvalsh(gram)[-1]) + self.ridge
-        self.strong_convexity = self.ridge
+
+    @cached_property
+    def lipschitz(self):
+        return 0.25 * _top_gram_eigenvalue(self.features) + self.ridge
+
+    @property
+    def strong_convexity(self):
+        return self.ridge
+
+    def _margins(self, theta):
+        return self.labels * (self.features @ theta[..., None])[..., 0]
 
     def value(self, theta) -> float:
-        margins = self.labels * (self.features @ theta)
-        val = float(np.sum(np.logaddexp(0.0, -margins)))
-        if self.ridge:
-            val += 0.5 * self.ridge * float(theta @ theta)
-        return val
+        squares = (theta[..., None, :] @ theta[..., None])[..., 0, 0]
+        return (float(np.sum(np.logaddexp(0.0, -self._margins(theta))))
+                + float(np.sum(0.5 * self.ridge * squares)))
 
     def gradient(self, theta) -> np.ndarray:
-        margins = self.labels * (self.features @ theta)
-        coeff = -self.labels * _sigmoid(-margins)
-        g = self.features.T @ coeff
-        if self.ridge:
-            g = g + self.ridge * np.asarray(theta, dtype=np.float64)
-        return g
+        coeff = -self.labels * _sigmoid(-self._margins(theta))
+        return (coeff[..., None, :] @ self.features)[..., 0, :] + self.ridge[..., None] * theta
+
+    def pooled(self) -> LogisticLoss:
+        """One loss over all the samples, with the ridges summed."""
+        return LogisticLoss(self.features.reshape(-1, self.m), self.labels.reshape(-1),
+                            ridge=np.sum(self.ridge))
 
 
 class DiagonalQuadraticLoss:
-    """0.5 * (theta - c)^T diag(d) (theta - c) with d > 0."""
+    """0.5 * (theta - c)^T diag(d) (theta - c) with d > 0; a stack holds
+    d (n, m) and c (n, m)."""
 
     def __init__(self, diag: np.ndarray, center: np.ndarray):
         self.diag = np.asarray(diag, dtype=np.float64)
@@ -120,92 +149,41 @@ class DiagonalQuadraticLoss:
         if not np.all(self.diag > 0):
             raise ValueError("diagonal curvature must be positive")
         self.m = self.diag.shape[0]
-        self.lipschitz = float(np.max(self.diag))
-        self.strong_convexity = float(np.min(self.diag))
+
+    @property
+    def lipschitz(self):
+        return np.max(self.diag, axis=-1)
+
+    @property
+    def strong_convexity(self):
+        return np.min(self.diag, axis=-1)
 
     def value(self, theta) -> float:
-        d = np.asarray(theta, dtype=np.float64) - self.center
-        return 0.5 * float(d @ (self.diag * d))
-
-    def gradient(self, theta) -> np.ndarray:
-        return self.diag * (np.asarray(theta, dtype=np.float64) - self.center)
-
-
-class _LeastSquaresStack:
-    """k least-squares losses with one (p, m) shape: A (k, p, m), b (k, p)."""
-
-    def __init__(self, parts):
-        self.a = np.stack([f.a for f in parts])
-        self.b = np.stack([f.b for f in parts])
-
-    def _residual(self, x):
-        return np.einsum("kpm,km->kp", self.a, x) - self.b
-
-    def gradient(self, x):
-        return np.einsum("kpm,kp->km", self.a, self._residual(x))
-
-    def value(self, x) -> float:
-        r = self._residual(x)
-        return 0.5 * float(np.sum(r * r))
-
-    def pooled(self) -> LeastSquaresLoss:
-        """One loss over all k agents' rows."""
-        return LeastSquaresLoss(self.a.reshape(-1, self.a.shape[-1]), self.b.reshape(-1))
-
-
-class _LogisticStack:
-    """k logistic losses with one (s, m) shape: features (k, s, m), labels
-    (k, s), ridge (k,)."""
-
-    def __init__(self, parts):
-        self.features = np.stack([f.features for f in parts])
-        self.labels = np.stack([f.labels for f in parts])
-        self.ridge = np.array([f.ridge for f in parts])
-
-    def _margins(self, x):
-        return self.labels * np.einsum("ksm,km->ks", self.features, x)
-
-    def gradient(self, x):
-        coeff = -self.labels * _sigmoid(-self._margins(x))
-        return np.einsum("ksm,ks->km", self.features, coeff) + self.ridge[:, None] * x
-
-    def value(self, x) -> float:
-        val = float(np.sum(np.logaddexp(0.0, -self._margins(x))))
-        return val + 0.5 * float(self.ridge @ np.sum(x * x, axis=1))
-
-    def pooled(self) -> LogisticLoss:
-        """One loss over all k agents' samples, with the ridges summed."""
-        m = self.features.shape[-1]
-        return LogisticLoss(self.features.reshape(-1, m), self.labels.reshape(-1),
-                            ridge=float(np.sum(self.ridge)))
-
-
-class _QuadraticStack:
-    """k diagonal quadratics: diag (k, m), center (k, m)."""
-
-    def __init__(self, parts):
-        self.diag = np.stack([f.diag for f in parts])
-        self.center = np.stack([f.center for f in parts])
-
-    def gradient(self, x):
-        return self.diag * (x - self.center)
-
-    def value(self, x) -> float:
-        d = x - self.center
+        d = theta - self.center
+        # Two summation orders: one agent's dot product gives f* its bits, and
+        # a stack's elementwise sum gives the recorded objective gaps theirs.
+        if d.ndim == 1:
+            return 0.5 * float(d @ (self.diag * d))
         return 0.5 * float(np.sum(self.diag * d * d))
 
+    def gradient(self, theta) -> np.ndarray:
+        return self.diag * (theta - self.center)
+
     def pooled(self) -> DiagonalQuadraticLoss:
-        """The sum of the k quadratics, up to a constant."""
-        total = self.diag.sum(axis=0)
-        return DiagonalQuadraticLoss(total, np.sum(self.diag * self.center, axis=0) / total)
+        """The sum of the losses, up to a constant."""
+        diag = self.diag.reshape(-1, self.m)
+        total = diag.sum(axis=0)
+        return DiagonalQuadraticLoss(
+            total, np.sum(diag * self.center.reshape(-1, self.m), axis=0) / total)
 
 
-# Loss classes with a stacked form, each with the attribute whose shape must
-# agree across agents. Every attribute of a stack is one of its arrays.
-_STACKS = {
-    LeastSquaresLoss: (_LeastSquaresStack, "a"),
-    LogisticLoss: (_LogisticStack, "features"),
-    DiagonalQuadraticLoss: (_QuadraticStack, "diag"),
+# Each loss family's arrays, in the order `instance_hash` digests them. The
+# family's stack holds each one stacked along a new leading agent axis.
+_ARRAYS = {
+    ZeroSmooth: (),
+    LeastSquaresLoss: ("a", "b"),
+    LogisticLoss: ("features", "labels", "ridge"),
+    DiagonalQuadraticLoss: ("diag", "center"),
 }
 
 
@@ -215,9 +193,10 @@ class CompositeObjective:
 
     The losses share one class, one dimension and one array shape. They stay
     readable one by one in `smooth`, but the stacked methods never loop over
-    agents: at construction the losses become one stack of (n, ...) arrays,
-    `stack` (None when every loss is zero). Gradients and values of an
-    (n, m) stack are then a few einsums, and the prox a single soft
+    agents: at construction the losses become `stack`, one loss of the same
+    class holding (n, ...) arrays, whose methods run the same code as one
+    agent's on a leading agent axis. Its curvature constants are per-agent
+    vectors (or one scalar for all), computed once; the prox is a single soft
     threshold (the identity when every weight is zero).
     """
 
@@ -235,16 +214,15 @@ class CompositeObjective:
         if len(dims) != 1:
             raise ValueError(f"all losses must share one dimension, got {sorted(dims)}")
         cls = type(self.smooth[0])
-        if any(type(f) is not cls for f in self.smooth):
-            raise ValueError("all losses must be of one class")
-        self.stack = None
-        if cls is not ZeroSmooth:
-            if cls not in _STACKS:
-                raise ValueError(f"no stacked form for loss {cls.__name__}")
-            stack_cls, attr = _STACKS[cls]
-            if len({getattr(f, attr).shape for f in self.smooth}) != 1:
-                raise ValueError("all losses must share one array shape")
-            self.stack = stack_cls(self.smooth)
+        if cls not in _ARRAYS or any(type(f) is not cls for f in self.smooth):
+            names = sorted({type(f).__name__ for f in self.smooth})
+            raise ValueError(f"need losses of one class with a stacked form, got {names}")
+        # Built without __init__, which validates one agent's arrays; np.stack
+        # raises ValueError when the agents' shapes differ.
+        self.stack = cls.__new__(cls)
+        self.stack.m = self.m
+        for name in _ARRAYS[cls]:
+            setattr(self.stack, name, np.stack([getattr(f, name) for f in self.smooth]))
 
     @property
     def n(self) -> int:
@@ -255,10 +233,10 @@ class CompositeObjective:
         return self.smooth[0].m
 
     def lipschitz(self) -> np.ndarray:
-        return np.array([f.lipschitz for f in self.smooth])
+        return np.full(self.n, self.stack.lipschitz)
 
     def strong_convexity(self) -> np.ndarray:
-        return np.array([f.strong_convexity for f in self.smooth])
+        return np.full(self.n, self.stack.strong_convexity)
 
     def centralized_value(self, theta: np.ndarray) -> float:
         """Total objective at one shared decision vector."""
@@ -268,17 +246,11 @@ class CompositeObjective:
     def stacked_value(self, x: np.ndarray) -> float:
         """Total objective with agent i evaluated at row i of x."""
         x = np.asarray(x, dtype=np.float64)
-        total = float(self.tau @ np.sum(np.abs(x), axis=1))
-        if self.stack is not None:
-            total += self.stack.value(x)
-        return total
+        return float(self.tau @ np.sum(np.abs(x), axis=1)) + self.stack.value(x)
 
     def gradient_stack(self, x: np.ndarray) -> np.ndarray:
         """Row i: gradient of agent i's smooth loss at row i of x."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.stack is None:
-            return np.zeros((self.n, self.m))
-        return self.stack.gradient(x)
+        return self.stack.gradient(np.asarray(x, dtype=np.float64))
 
     def prox_stack(self, steps: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Row i: prox of agent i's l1 term with step steps[i] at v[i]."""
@@ -291,23 +263,19 @@ def make_lasso_instance(n: int, p: int, m: int, tau: float, seed: int):
     """Sparse least-squares instance: per agent a p-by-m sensing matrix with
     unit-norm rows, a unit-norm target, and an l1 weight tau.
 
-    Returns (objective, raw) where raw holds the stacked A and b arrays.
+    Returns (objective, raw) where raw holds the stack's A and b arrays.
     """
     if min(n, p, m) < 1:
         raise ValueError("n, p, m must all be positive")
     rng = np.random.default_rng(seed)
-    a_all = np.empty((n, p, m))
-    b_all = np.empty((n, p))
     smooth = []
-    for i in range(n):
+    for _ in range(n):
         a = rng.standard_normal((p, m))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = rng.standard_normal(p)
-        b /= np.linalg.norm(b)
-        a_all[i], b_all[i] = a, b
-        smooth.append(LeastSquaresLoss(a, b))
+        smooth.append(LeastSquaresLoss(a, b / np.linalg.norm(b)))
     obj = CompositeObjective(smooth, np.full(n, float(tau)))
-    return obj, {"a": a_all, "b": b_all}
+    return obj, {"a": obj.stack.a, "b": obj.stack.b}
 
 
 def make_logistic_instance(n: int, m_i: int, m: int, seed: int, ridge: float = 0.0):
@@ -318,19 +286,15 @@ def make_logistic_instance(n: int, m_i: int, m: int, seed: int, ridge: float = 0
         raise ValueError("n, m_i, m must all be positive")
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(m)
-    feats = np.empty((n, m_i, m))
-    labels = np.empty((n, m_i))
     smooth = []
-    for i in range(n):
+    for _ in range(n):
         x = rng.standard_normal((m_i, m))
         x[:, -1] = 1.0
         y = np.where(x @ w_true >= 0.0, 1.0, -1.0)
-        flips = rng.random(m_i) < 0.05
-        y[flips] *= -1.0
-        feats[i], labels[i] = x, y
+        y[rng.random(m_i) < 0.05] *= -1.0
         smooth.append(LogisticLoss(x, y, ridge=ridge))
     obj = CompositeObjective(smooth, np.zeros(n))
-    return obj, {"features": feats, "labels": labels, "w_true": w_true}
+    return obj, {"features": obj.stack.features, "labels": obj.stack.labels, "w_true": w_true}
 
 
 def make_quadratic_instance(n: int, m: int, seed: int) -> CompositeObjective:
@@ -354,10 +318,8 @@ def instance_hash(objective: CompositeObjective) -> str:
     array."""
     digest = hashlib.sha256(
         f"{type(objective.smooth[0]).__name__} {objective.n} {objective.m}".encode())
-    arrays = [objective.tau]
-    if objective.stack is not None:
-        arrays += vars(objective.stack).values()
-    for arr in arrays:
+    stack = objective.stack
+    for arr in [objective.tau] + [getattr(stack, name) for name in _ARRAYS[type(stack)]]:
         digest.update(str(arr.shape).encode())
         digest.update(np.asarray(arr, dtype="<f8").tobytes())
     return digest.hexdigest()[:16]

@@ -4,7 +4,8 @@ Provides the minimizer and optimal value used by the metrics as a baseline,
 a first-order optimality (KKT) residual for network states, and the text
 form in which the harness writes a solve out (nothing reads it back). The
 solve works on the summed objective: the objective's stack pooled into one
-loss (all agents' rows or samples) and the per-agent l1 weights summed. Its
+loss of the same family (all agents' rows or samples, or for quadratics the
+curvature-weighted center) and the per-agent l1 weights summed. Its
 step is 1/L for L the pooled loss's own gradient Lipschitz bound
 (lambda_max(A^T A) for least squares, 0.25 lambda_max(F^T F) plus the summed
 ridge for logistic), not the looser sum of the per-agent bounds; those stay
@@ -18,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import laplacian_quadratic_norm
-from .objective import (
-    CompositeObjective,
-    DiagonalQuadraticLoss,
-    ZeroSmooth,
-    soft_threshold,
-)
+from .objective import CompositeObjective, DiagonalQuadraticLoss, soft_threshold
 
 CACHE_MAGIC = "etdopt-reference"
 CACHE_VERSION = 1
@@ -54,21 +50,15 @@ def solve_centralized(
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    m = objective.m
-    theta = np.zeros(m)
-    smooth = ZeroSmooth(m) if objective.stack is None else objective.stack.pooled()
+    theta = np.zeros(objective.m)
+    smooth = objective.stack.pooled()
+
+    def solution(x, residual, iterations):
+        return ReferenceSolution(x, objective.centralized_value(x), residual, iterations,
+                                 residual <= tol, tol)
 
     if isinstance(smooth, DiagonalQuadraticLoss) and not np.any(objective.tau):
-        x_star = smooth.center
-        residual = float(np.linalg.norm(smooth.gradient(x_star)))
-        return ReferenceSolution(
-            x_star=x_star,
-            f_star=objective.centralized_value(x_star),
-            solver_residual=residual,
-            iterations=0,
-            certified=residual <= tol,
-            tol=tol,
-        )
+        return solution(smooth.center, float(np.linalg.norm(smooth.gradient(smooth.center))), 0)
 
     lip = smooth.lipschitz
     step = 1.0 / lip if lip > 0.0 else 1.0
@@ -81,14 +71,7 @@ def solve_centralized(
             theta_next = soft_threshold(theta_next, step * total_tau)
         residual = float(np.linalg.norm(theta - theta_next)) / step
         if residual <= tol or it == max_iter:
-            return ReferenceSolution(
-                x_star=theta,
-                f_star=objective.centralized_value(theta),
-                solver_residual=residual,
-                iterations=it,
-                certified=residual <= tol,
-                tol=tol,
-            )
+            return solution(theta, residual, it)
         theta = theta_next
 
 

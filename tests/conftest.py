@@ -123,8 +123,10 @@ def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective
     """Stacked always-broadcast iteration: a proximal step on the linearized
     augmented Lagrangian followed by dual ascent. Reference path for the
     event-triggered engine under an all-zero schedule; it takes gradients
-    from the per-agent losses, apart from the objective's stack, and the
-    prox as a soft threshold at each agent's l1 weight over eta_i."""
+    agent by agent from the losses in `smooth`, and the prox as a soft
+    threshold at each agent's l1 weight over eta_i. Those gradients run the
+    same code as the objective's stack, so `test_objective.py` checks that
+    code against central differences."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)

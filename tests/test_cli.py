@@ -341,6 +341,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "wrote" in out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_bound_skips_the_certificate(self, tmp_path):
+        # A schedule base of 1e200 squares past the float range in the bound:
+        # an infinite bound holds vacuously and must not be reported.
+        assert main(["--problem", "quadratic", "--certificate", "--schedule", "poly:1e200:2",
+                     "--rounds", "20", "--graph-r", "0.1", "--beta", "0.02", "--eta", "6",
+                     "--out", str(tmp_path / "o")]) == 0
+        summary = next((tmp_path / "o").glob("*/summary.txt")).read_text()
+        assert "broadcasts_total 100" in summary
+        assert "certificate_skipped" in summary
+        assert "_hold" not in summary
+
     def test_bad_flag_value_exits_2(self, tmp_path):
         assert main(["--beta", "-3", "--out", str(tmp_path / "x")]) == 2
 

@@ -20,10 +20,10 @@ from etdopt.objective import (
 
 
 def finite_difference_gradient(fn, theta, h=1e-6):
-    """Central-difference oracle for gradients."""
+    """Central-difference oracle for gradients, at a point of any shape."""
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.zeros_like(theta)
-    for j in range(theta.size):
+    for j in np.ndindex(theta.shape):
         up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
@@ -285,7 +285,7 @@ class TestCompositeObjective:
         for kind in FAMILIES:
             smooth = one_family(kind, rng)
             obj = CompositeObjective(smooth, tau)
-            assert (obj.stack is None) == (kind == "zero")
+            assert type(obj.stack) is type(smooth[0])
             x = rng.standard_normal((6, 4))
             steps = rng.uniform(0.5, 2.0, 6)
             per_agent_grad = np.stack([f.gradient(x[i]) for i, f in enumerate(smooth)])
@@ -296,6 +296,42 @@ class TestCompositeObjective:
             assert np.allclose(obj.gradient_stack(x), per_agent_grad, rtol=0, atol=1e-12)
             assert np.array_equal(obj.prox_stack(steps, x), per_agent_prox)
             assert obj.stacked_value(x) == pytest.approx(per_agent_value, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", FAMILIES[:3])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["agent", "stack"])
+    def test_gradient_matches_finite_differences(self, kind, stacked):
+        # The engine's gradients and the matrix-form oracle's share this
+        # code; central differences of the value check it apart from both.
+        rng = np.random.default_rng(11)
+        smooth = one_family(kind, rng, n=3)
+        loss = CompositeObjective(smooth, np.zeros(3)).stack if stacked else smooth[0]
+        for _ in range(5):
+            theta = rng.standard_normal((3, 4) if stacked else 4)
+            exact = loss.gradient(theta)
+            assert exact.shape == theta.shape
+            numeric = finite_difference_gradient(loss.value, theta)
+            assert np.linalg.norm(exact - numeric) <= 1e-6 * max(1.0, np.linalg.norm(exact))
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_pooled_single_loss_is_that_loss(self, kind):
+        # one agent's arrays are 1-D for the quadratic and 2-D otherwise
+        rng = np.random.default_rng(12)
+        loss = one_family(kind, rng, n=1)[0]
+        for pooled in (loss.pooled(), CompositeObjective([loss], [0.0]).stack.pooled()):
+            assert type(pooled) is type(loss)
+            for _ in range(5):
+                theta = 3.0 * rng.standard_normal(4)
+                assert pooled.value(theta) == pytest.approx(loss.value(theta), rel=1e-12)
+                assert np.allclose(pooled.gradient(theta), loss.gradient(theta),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_stack_curvature_equals_per_agent_constants(self, kind):
+        # the stack's one batched eigensolve against each agent's own
+        smooth = one_family(kind, np.random.default_rng(13))
+        obj = CompositeObjective(smooth, np.zeros(len(smooth)))
+        assert np.array_equal(obj.lipschitz(), [f.lipschitz for f in smooth])
+        assert np.array_equal(obj.strong_convexity(), [f.strong_convexity for f in smooth])
 
     def test_class_or_shape_mix_rejected(self):
         rng = np.random.default_rng(9)
@@ -352,6 +388,17 @@ class TestSerialization:
                 != instance_hash(make_lasso_instance(4, 3, 5, 0.2, seed=3)[0]))
         assert (instance_hash(make_logistic_instance(3, 4, 5, seed=3, ridge=0.1)[0])
                 != instance_hash(make_logistic_instance(3, 4, 5, seed=3, ridge=0.2)[0]))
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: make_lasso_instance(100, 3, 50, 0.1, 1)[0], "4b8b1e18b3b46236"),
+        (lambda: make_logistic_instance(100, 8, 50, 1)[0], "bcf441f2464b5686"),
+        (lambda: make_logistic_instance(50, 8, 10, 1, ridge=0.1)[0], "9a0a7ce6f072fb48"),
+        (lambda: make_quadratic_instance(100, 50, 1), "05d786553b744eec"),
+        (lambda: CompositeObjective([ZeroSmooth(4)] * 3, [0.1, 0.2, 0.3]), "7914a62780ea495c"),
+    ], ids=["lasso", "logistic", "ridge-logistic", "quadratic", "zero"])
+    def test_pinned_digest(self, build, digest):
+        # the digest names the reference files written under cache/
+        assert instance_hash(build()) == digest
 
     def test_zero_objectives_of_different_dimension_differ(self):
         a = CompositeObjective([ZeroSmooth(3), ZeroSmooth(3)], [0.0, 0.0])
