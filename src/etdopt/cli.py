@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics, trigger
 from .engine import RunConfig, RunTrace, run
-from .graph import GraphConfigError, generate_random_graph, laplacian
+from .graph import GraphConfigError, generate_random_graph
 from .objective import (
     CompositeObjective,
     instance_hash,
@@ -230,10 +230,11 @@ def write_trace_csv(path: Path, trace: RunTrace, series: metrics.ErgodicSeries):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_summary(path: Path, cfg: ExperimentConfig, run_cfg: RunConfig, trace: RunTrace,
+def write_summary(path: Path, cfg: ExperimentConfig, trace: RunTrace,
                   series: metrics.ErgodicSeries, certificate_text: str, digest: str):
     """Write the run's summary, its final errors read from the trace's
     `series` and the instance named by `digest`."""
+    run_cfg = trace.config
     done = trace.completed_rounds
     lines = [
         f"problem {cfg.problem}",
@@ -372,7 +373,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         digest = instance_hash(objective)
         graph_seed = cfg.graph_seed if cfg.graph_seed is not None else seed
         graph = generate_random_graph(cfg.n, cfg.graph_r, graph_seed)
-        lap = laplacian(graph)
         reference = _solve_reference(objective, digest, cache_dir)
         seed_traces: dict = {}
         seed_series: dict = {}
@@ -391,7 +391,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 # still converge, so the margin is reported, not enforced.
                 enforce_stepsize=False,
             )
-            recorder = metrics.ErgodicRecorder(objective, lap, reference.f_star,
+            recorder = metrics.ErgodicRecorder(objective, graph.laplacian, reference.f_star,
                                                reference.x_star)
             trace = run(run_cfg, observe=recorder)
             series = recorder.series()
@@ -402,10 +402,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             run_dir.mkdir(parents=True, exist_ok=True)
             certificate_text = ""
             if cfg.certificate and not trace.diverged:
-                certificate_text = _certificate_block(run_cfg, trace, reference, series)
+                certificate_text = _certificate_block(trace, reference, series)
             write_trace_csv(run_dir / "trace.csv", trace, series)
-            write_summary(run_dir / "summary.txt", cfg, run_cfg, trace, series, certificate_text,
-                          digest)
+            write_summary(run_dir / "summary.txt", cfg, trace, series, certificate_text, digest)
             result.run_dirs.append(run_dir)
             if trace.diverged:
                 result.diverged_runs.append(
@@ -422,10 +421,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _certificate_block(run_cfg: RunConfig, trace: RunTrace, reference: ReferenceSolution,
+def _certificate_block(trace: RunTrace, reference: ReferenceSolution,
                        series: metrics.ErgodicSeries) -> str:
     try:
-        cert = metrics.ergodic_rate_certificate(run_cfg, trace, reference, series)
+        cert = metrics.ergodic_rate_certificate(trace, reference, series)
         return cert.to_text()
     except metrics.CertificateError as err:
         return f"certificate_skipped {err}\n"

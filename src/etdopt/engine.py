@@ -34,8 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import trigger as trig
-from .graph import (Graph, check_stepsize_composite, check_stepsize_strongly_convex,
-                    is_connected, laplacian, max_eigenvalue)
+from .graph import Graph, is_connected
 from .objective import CompositeObjective
 
 
@@ -50,9 +49,10 @@ def suggested_stepsizes(graph: Graph, objective: CompositeObjective,
     beta is 1/(max Laplacian eigenvalue + 1). In the "convex" regime eta_i is
     1 + l_i (one plus the local gradient Lipschitz bound); in the
     "strongly-convex" regime eta_i is 1 + l_i**2 / k1 with k1 defaulting to
-    the smallest local strong-convexity modulus.
+    the smallest local strong-convexity modulus mu_min; a k1 outside
+    (0, 2 mu_min) raises ConfigError.
     """
-    lam_max = max_eigenvalue(laplacian(graph))
+    lam_max = float(np.linalg.eigvalsh(graph.laplacian)[-1])
     beta = 1.0 / (lam_max + 1.0)
     lf = objective.lipschitz()
     if regime == "convex":
@@ -61,14 +61,22 @@ def suggested_stepsizes(graph: Graph, objective: CompositeObjective,
         mu = objective.strong_convexity()
         if np.any(mu <= 0.0):
             raise ConfigError("strongly-convex regime needs positive moduli for every agent")
+        mu_min = float(np.min(mu))
         if k1 is None:
-            k1 = float(np.min(mu))
-        if not (0.0 < k1 < 2.0 * float(np.min(mu))):
-            raise ConfigError(f"k1 must lie in (0, {2.0 * float(np.min(mu))}), got {k1}")
+            k1 = mu_min
+        if not (0.0 < k1 < 2.0 * mu_min):
+            raise ConfigError(f"k1 must lie in (0, {2.0 * mu_min}), got {k1}")
         eta = 1.0 + lf**2 / k1
     else:
         raise ConfigError(f"regime must be 'convex' or 'strongly-convex', got {regime!r}")
     return eta, beta
+
+
+def stepsize_margin(eta, beta: float, graph: Graph, curvature) -> float:
+    """Smallest eigenvalue of diag(eta) - beta L - diag(curvature) (LAPACK);
+    its sign is reliable down to roundoff in the matrix entries, so margins
+    near zero are classified correctly."""
+    return float(np.linalg.eigvalsh(np.diag(eta) - beta * graph.laplacian - np.diag(curvature))[0])
 
 
 class DivergenceError(RuntimeError):
@@ -107,10 +115,11 @@ class RunConfig:
         return self.objective.m
 
     def validate(self):
-        """Check shapes, positivity and the stepsize condition. Returns the
-        smallest eigenvalues of diag(eta) - beta L - diag(L_f) and, where
-        every modulus mu_i > 0, of diag(eta) - beta L - diag(L_f**2) / min mu
-        (k1 = min mu is the midpoint of its interval (0, 2 min mu)); else None."""
+        """Check shapes, positivity and the stepsize condition. Returns the two
+        `stepsize_margin`s: over diag(L_f), which must be positive (else a
+        ConfigError, or a warning when `enforce_stepsize` is off), and, where
+        every modulus mu_i > 0, over diag(L_f**2) / k1 with k1 = min mu, the
+        midpoint of its interval (0, 2 min mu); else None."""
         g, obj = self.graph, self.objective
         if g.n != obj.n:
             raise ConfigError(f"graph has {g.n} nodes but objective has {obj.n} agents")
@@ -124,19 +133,17 @@ class RunConfig:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
         if self.x0 is not None and np.asarray(self.x0).shape != (g.n, obj.m):
             raise ConfigError(f"x0 must have shape ({g.n}, {obj.m})")
-        lap, lf = laplacian(g), obj.lipschitz()
-        check = check_stepsize_composite(self.eta, self.beta, lap, lf)
-        if not check.ok:
-            msg = f"stepsize condition violated (margin {check.margin:.3e})"
+        lf = obj.lipschitz()
+        margin = stepsize_margin(self.eta, self.beta, g, lf)
+        if not margin > 0.0:
+            msg = f"stepsize condition violated (margin {margin:.3e})"
             if self.enforce_stepsize:
                 raise ConfigError(msg)
             warnings.warn(msg, stacklevel=2)
         mu = obj.strong_convexity()
         if np.any(mu <= 0.0):
-            return check.margin, None
-        strong = check_stepsize_strongly_convex(self.eta, self.beta, lap, lf, mu,
-                                                float(np.min(mu)))
-        return check.margin, strong.margin
+            return margin, None
+        return margin, stepsize_margin(self.eta, self.beta, g, lf**2 / float(np.min(mu)))
 
 
 @dataclass(frozen=True)
@@ -197,8 +204,8 @@ def dual_step(z, lap, x_tilde, beta: float):
 
 
 def _check_finite(arr: np.ndarray, round_: int):
-    bad = ~np.all(np.isfinite(arr), axis=1)
-    if np.any(bad):
+    if not np.isfinite(arr).all():
+        bad = ~np.all(np.isfinite(arr), axis=1)
         raise DivergenceError(int(np.argmax(bad)), round_)
 
 
@@ -207,7 +214,7 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
     primal step from round-k data, every agent's trigger decision and
     broadcast, then every agent's dual step on the delivered copies."""
     k = state.round + 1
-    lap, eta, beta = laplacian(config.graph), config.eta, config.beta
+    lap, eta, beta = config.graph.laplacian, config.eta, config.beta
     # Overflow is not an error here; it surfaces as a divergence below.
     with np.errstate(over="ignore", invalid="ignore"):
         x = primal_step(config.objective, state.x, state.z, lap, state.x_tilde, eta, beta)

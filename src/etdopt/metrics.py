@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trigger as trig
-from .engine import NetworkState, RunConfig, RunTrace
-from .graph import eigh, laplacian, laplacian_norm
+from .engine import NetworkState, RunTrace
+from .graph import laplacian_norm
 from .objective import CompositeObjective
 from .reference import ReferenceSolution, dual_from_reference
 
@@ -192,19 +192,19 @@ def _least_norm_dual_norm(eigvals, eigvecs, z_star: np.ndarray) -> float:
 
 
 def ergodic_rate_certificate(
-    config: RunConfig,
     trace: RunTrace,
     reference: ReferenceSolution,
     series: ErgodicSeries,
 ) -> ErgodicRateCertificate:
-    """Evaluate the ergodic error bounds at every round of the trace and
-    compare them with the measured trajectory, read from the trace's
-    `series`.
+    """Evaluate the ergodic error bounds at every round of the trace, for
+    the run that `trace.config` describes, and compare them with the
+    measured trajectory, read from the trace's `series`.
 
     Requires: a summable schedule, a certified reference, a positive
     stepsize margin (the trace's), strictly positive smooth curvature
     bounds and error bounds that do not overflow.
     """
+    config = trace.config
     g, obj = config.graph, config.objective
     n = g.n
     if not config.schedule.is_summable:
@@ -217,8 +217,8 @@ def ergodic_rate_certificate(
     if not trace.stepsize_margin > 0.0:
         raise CertificateError(f"stepsize margin is not positive ({trace.stepsize_margin:.3e})")
 
-    lap = laplacian(g)
-    eigvals, eigvecs = eigh(lap)
+    lap = g.laplacian
+    eigvals, eigvecs = np.linalg.eigh(lap)
     lam_max = float(eigvals[-1])
     positive = eigvals > _ZERO_EIG_RTOL * max(lam_max, 1.0)
     if int(np.sum(~positive)) != 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import laplacian_quadratic_norm
+from .graph import laplacian_norm
 from .objective import CompositeObjective, DiagonalQuadraticLoss, soft_threshold
 
 CACHE_MAGIC = "etdopt-reference"
@@ -101,7 +101,7 @@ def kkt_residual(x: np.ndarray, z: np.ndarray, objective: CompositeObjective,
     # per coordinate; a zero regularizer has tau = 0.
     tau = objective.tau[:, None]
     d = np.where(x == 0.0, np.maximum(np.abs(target) - tau, 0.0), target - tau * np.sign(x))
-    return float(np.sqrt(np.sum(d * d))) + laplacian_quadratic_norm(lap, x)
+    return float(np.sqrt(np.sum(d * d))) + laplacian_norm(lap)(x)
 
 
 def reference_to_text(sol: ReferenceSolution, instance_digest: str) -> str:

@@ -12,7 +12,7 @@ from etdopt.engine import (
     run_round,
     suggested_stepsizes,
 )
-from etdopt.graph import generate_random_graph, laplacian
+from etdopt.graph import generate_random_graph
 from etdopt.metrics import ErgodicRecorder
 from etdopt.objective import (
     CompositeObjective,
@@ -154,7 +154,7 @@ def drive_states(config: RunConfig) -> list:
 
 def run_with_series(config: RunConfig, f_star: float, x_star: np.ndarray):
     """`run` with an `ErgodicRecorder` observing it: (trace, series)."""
-    recorder = ErgodicRecorder(config.objective, laplacian(config.graph), f_star, x_star)
+    recorder = ErgodicRecorder(config.objective, config.graph.laplacian, f_star, x_star)
     trace = run(config, observe=recorder)
     return trace, recorder.series()
 

@@ -15,7 +15,7 @@ from conftest import (
 )
 from etdopt.cli import write_trace_csv
 from etdopt.engine import run, suggested_stepsizes
-from etdopt.graph import Graph, laplacian, laplacian_quadratic_norm
+from etdopt.graph import Graph, laplacian_norm
 from etdopt.metrics import (
     CertificateError,
     ErgodicRecorder,
@@ -50,7 +50,7 @@ def recorded(snapshots, objective=None, lap=None, f_star=0.0, x_star=None):
 def recomputed_series(config, f_star, x_star):
     """The series from states driven one `run_round` call at a time, with the
     recorder's expressions written out."""
-    norm_lap = laplacian(config.graph)
+    norm_lap = config.graph.laplacian
     x_star = x_star[None, :]
     states = drive_states(config)
     start = float(np.linalg.norm(states[0].x - x_star))
@@ -64,7 +64,7 @@ def recomputed_series(config, f_star, x_star):
             total += state.x
             point = total / k
         gap.append(config.objective.stacked_value(point) - f_star)
-        cons.append(laplacian_quadratic_norm(norm_lap, point))
+        cons.append(laplacian_norm(norm_lap)(point))
         dist = float(np.linalg.norm(state.x - x_star))
         resid.append(dist / start if start > 0.0 else dist)
     return np.array(gap), np.array(cons), np.array(resid)
@@ -77,9 +77,9 @@ def scalar_lasso_objective():
 class TestErgodicAverage:
     def test_constant_trajectory(self):
         c = np.array([[1.7, 0.2], [1.7, -0.4], [0.9, 0.2]])
-        lap = laplacian(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        lap = Graph.from_edges(3, [(0, 1), (1, 2)]).laplacian
         series = recorded([c] * 6, lap=lap)
-        assert np.allclose(series.consensus_error, laplacian_quadratic_norm(lap, c), rtol=1e-14)
+        assert np.allclose(series.consensus_error, laplacian_norm(lap)(c), rtol=1e-14)
 
     def test_scalar_ramp_mean(self):
         snaps = [np.array([[float(k)]]) for k in range(0, 5)]
@@ -99,7 +99,7 @@ class TestErgodicAverage:
         expected = cfg.objective.stacked_value(direct) - reference.f_star
         assert series.signed_gap[80] == pytest.approx(expected, rel=1e-12, abs=1e-14)
         assert series.consensus_error[80] == pytest.approx(
-            laplacian_quadratic_norm(laplacian(cfg.graph), direct), rel=1e-12, abs=1e-14)
+            laplacian_norm(cfg.graph.laplacian)(direct), rel=1e-12, abs=1e-14)
 
     def test_out_of_range_rejected(self):
         recorder = ErgodicRecorder(zero_objective(2, 1), np.zeros((2, 2)), 0.0, np.zeros(1))
@@ -148,25 +148,25 @@ class TestStreamedSeries:
 
 class TestConsensusError:
     def test_uniform_rows_give_zero(self):
-        lap = laplacian(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        lap = Graph.from_edges(3, [(0, 1), (1, 2)]).laplacian
         v = np.tile(np.array([2.0, -1.0]), (3, 1))
-        assert laplacian_quadratic_norm(lap, v) == 0.0
+        assert laplacian_norm(lap)(v) == 0.0
 
     def test_pair_value_from_matrix_product_oracle(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         v = np.array([[1.0], [0.0]])
         expected = float(np.sqrt(v[:, 0] @ (lap @ v[:, 0])))  # explicit 2x2 product
         assert expected == pytest.approx(1.0)
-        assert laplacian_quadratic_norm(lap, v) == pytest.approx(expected, abs=1e-15)
+        assert laplacian_norm(lap)(v) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_eigendecomposition_square_root(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        lap = laplacian(g)
+        lap = g.laplacian
         w, vecs = np.linalg.eigh(lap)
         sqrt_lap = vecs @ np.diag(np.sqrt(np.clip(w, 0, None))) @ vecs.T
         rng = np.random.default_rng(5)
         v = rng.standard_normal((4, 3))
-        assert laplacian_quadratic_norm(lap, v) == pytest.approx(
+        assert laplacian_norm(lap)(v) == pytest.approx(
             float(np.linalg.norm(sqrt_lap @ v)), abs=1e-12
         )
 
@@ -285,23 +285,23 @@ class TestErgodicRateCertificate:
         cfg.beta = 0.1
         reference = solve_centralized(cfg.objective, tol=1e-12)
         trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
-        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        cert = ergodic_rate_certificate(trace, reference, series)
         assert cert.trigger_gain == pytest.approx(1.0)
 
     def test_zero_schedule_budget_is_zero(self):
         cfg, trace, reference, series = self.make_run(schedule="zero", rounds=50)
-        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        cert = ergodic_rate_certificate(trace, reference, series)
         assert np.all(cert.error_budget == 0.0)
 
     def test_bounds_hold_on_triggered_run(self):
         cfg, trace, reference, series = self.make_run(schedule="poly:1:1.2", rounds=2000)
-        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        cert = ergodic_rate_certificate(trace, reference, series)
         assert cert.consensus_ok
         assert cert.objective_ok
         assert cert.t_values[-1] == 2000
 
     def test_dual_radius_exceeds_dual_norm(self):
-        cert = ergodic_rate_certificate(*self.make_run(rounds=30))
+        cert = ergodic_rate_certificate(*self.make_run(rounds=30)[1:])
         assert cert.dual_radius == 2.0 * (cert.dual_norm + 1.0)
 
     def test_nonpositive_stepsize_margin_rejected(self):
@@ -312,29 +312,29 @@ class TestErgodicRateCertificate:
             trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
         assert trace.stepsize_margin <= 0.0
         with pytest.raises(CertificateError, match="stepsize margin"):
-            ergodic_rate_certificate(cfg, trace, reference, series)
+            ergodic_rate_certificate(trace, reference, series)
 
     def test_periodic_schedule_rejected(self):
         cfg, trace, reference, series = self.make_run(schedule="everyN:2", rounds=30)
         with pytest.raises(CertificateError):
-            ergodic_rate_certificate(cfg, trace, reference, series)
+            ergodic_rate_certificate(trace, reference, series)
 
     def test_network_past_64_nodes_certified(self):
         cfg, trace, reference, series = self.make_run(rounds=10, n=70)
-        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        cert = ergodic_rate_certificate(trace, reference, series)
         assert cert.t_values[-1] == 10
 
     def test_reads_the_series_it_is_given(self):
         cfg, trace, reference, series = self.make_run(rounds=60)
         assert np.array_equal(series.objective_gap, np.abs(series.signed_gap))
-        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        cert = ergodic_rate_certificate(trace, reference, series)
         assert np.array_equal(cert.t_values, series.rounds[1:])
         assert np.array_equal(cert.objective_measured, series.signed_gap[1:])
         assert np.array_equal(cert.consensus_measured, series.consensus_error[1:])
 
     def test_report_text_shape(self):
         cfg, trace, reference, series = self.make_run(rounds=50)
-        cert = ergodic_rate_certificate(cfg, trace, reference, series)
+        cert = ergodic_rate_certificate(trace, reference, series)
         text = cert.to_text()
         assert "consensus_bound_holds 1" in text
         assert "trigger_gain" in text
