@@ -8,10 +8,10 @@ operations:
   A. primal: v = x - (z + grad F(x) + beta L x_tilde) / eta, then the
      objective's stacked prox (the identity for smooth objectives; the
      gradient is zero for regularizer-only ones);
-  B. trigger: agent i broadcasts when ||x_i - x_tilde_i|| exceeds the
-     round's threshold, which all agents share (any movement for the zero
-     schedule, every N-th round for the periodic one), and its copy
-     becomes x_i;
+  B. trigger (`trigger.broadcasts`): agent i broadcasts when
+     ||x_i - x_tilde_i|| exceeds the round's threshold, which all agents
+     share (any movement for the zero schedule, every N-th round for the
+     periodic one), and its copy becomes x_i;
   C. dual: z + beta L x_tilde on the fully updated copies.
 
 Delivery is implicit: L x_tilde reads every agent's current copy.
@@ -220,22 +220,14 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
         x = primal_step(config.objective, state.x, state.z, lap, state.x_tilde, eta, beta)
     _check_finite(x, k)
 
-    schedule = config.schedule
-    slack = None
-    if schedule.kind == trig.EVERY_N:
-        fired = np.full(config.n, k % schedule.period == 0)
-    else:
-        threshold = trig.threshold(schedule, k)
-        norms = trig.row_norms(x - state.x_tilde)
-        fired = norms > threshold
-        # A broadcaster's copy is now x_i itself, so its deviation is zero.
-        slack = _frozen(np.where(fired, 0.0, norms) - threshold)
+    fired, slack = trig.broadcasts(config.schedule, k, x, state.x_tilde)
     x_tilde = np.where(fired[:, None], x, state.x_tilde)
 
     z = dual_step(state.z, lap, x_tilde, beta)
     _check_finite(z, k)
     return NetworkState(x=_frozen(x), z=_frozen(z), x_tilde=_frozen(x_tilde),
-                        fired=_frozen(fired), round=k, trigger_slack=slack)
+                        fired=_frozen(fired), round=k,
+                        trigger_slack=None if slack is None else _frozen(slack))
 
 
 @dataclass

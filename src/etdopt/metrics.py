@@ -13,6 +13,7 @@ the resulting `ErgodicSeries` plus the trace's round 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,13 @@ class ErgodicRecorder:
         k = state.round
         if k != len(self._rows):
             raise ValueError(f"expected round {len(self._rows)}, got round {k}")
-        dist = float(np.linalg.norm(state.x - self._x_star))
+        with np.errstate(over="ignore"):  # handled below
+            diff = state.x - self._x_star
+            dist = float(np.linalg.norm(diff))
+        if not math.isfinite(dist) and np.isfinite(diff).all():
+            # The squares overflow: divide by the power of two <= the largest entry.
+            scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(diff))))[1] - 1)
+            dist = scale * float(np.linalg.norm(diff / scale))
         if k == 0:
             self._sum, self._start = np.zeros_like(state.x), dist
             point = state.x
@@ -243,10 +250,9 @@ def ergodic_rate_certificate(
     if t_values.size == 0:
         raise CertificateError("trace holds no completed round to certify")
 
-    # Threshold budget: cumulative network-wide envelope sums through t-1.
+    # Threshold budget: cumulative network-wide threshold sums through t-1.
     max_t = int(t_values[-1])
-    envelope = np.array([trig.threshold_envelope(config.schedule, k) for k in range(max_t)])
-    cum_env = np.cumsum(envelope)
+    cum_env = np.cumsum([trig.threshold(config.schedule, k) for k in range(max_t)])
     # A huge schedule base overflows these to inf, a bound that holds vacuously.
     with np.errstate(over="ignore", invalid="ignore"):
         budget = (2.0 * trigger_gain * np.sqrt(n) / residual_gain) * cum_env[t_values - 1]

@@ -2,12 +2,13 @@
 
 One schedule is shared by all agents: at round k every agent compares the
 deviation between its true iterate and its last broadcast copy with the same
-threshold. Supported kinds:
+threshold. A schedule is written as one of these specs (the kind in any case;
+a number may be written "a^b" for a**b, so decay ratios can take power form):
 
-* ``poly``    -- E0 / k**p with p > 1 (summable)
-* ``exp``     -- E0 * rho**k with 0 < rho < 1 (summable)
-* ``zero``    -- always broadcast on any movement
-* ``everyN``  -- periodic comparison scheme; bypasses the deviation rule
+* ``poly:E0:p``   -- E0 / k**p with p > 1 (summable)
+* ``exp:E0:rho``  -- E0 * rho**k with 0 < rho < 1 (summable)
+* ``zero``        -- always broadcast on any movement
+* ``everyN:N``    -- periodic comparison scheme; bypasses the deviation rule
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-POLYNOMIAL = "poly"
-EXPONENTIAL = "exp"
-ZERO = "zero"
-EVERY_N = "everyN"
+# Each kind's parameters, in the order its spec lists them after the kind.
+_PARAMS = {"poly": ("e0", "p"), "exp": ("e0", "rho"), "zero": (), "everyN": ("period",)}
 
 
 class ScheduleError(ValueError):
@@ -38,42 +37,36 @@ class TriggerSchedule:
     def __post_init__(self):
         # Bases and exponents must be finite: an infinite one gives a threshold
         # no deviation exceeds and a certificate with an infinite bound.
-        if self.kind == POLYNOMIAL:
+        if self.kind == "poly":
             if not 1.0 < self.p < np.inf:
                 raise ScheduleError(f"poly exponent must be > 1 and finite, got {self.p}")
             if not 0.0 <= self.e0 < np.inf:
                 raise ScheduleError(f"poly base must be >= 0 and finite, got {self.e0}")
-        elif self.kind == EXPONENTIAL:
+        elif self.kind == "exp":
             if not (0.0 < self.rho < 1.0):
                 raise ScheduleError(f"exp ratio must be in (0, 1), got {self.rho}")
             if not 0.0 <= self.e0 < np.inf:
                 raise ScheduleError(f"exp base must be >= 0 and finite, got {self.e0}")
-        elif self.kind == ZERO:
-            pass
-        elif self.kind == EVERY_N:
+        elif self.kind == "everyN":
             if self.period < 1:
                 raise ScheduleError(f"period must be >= 1, got {self.period}")
-        else:
+        elif self.kind != "zero":
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
 
     @property
     def is_event_rule(self) -> bool:
         """False for the periodic scheme, which ignores deviations."""
-        return self.kind != EVERY_N
+        return self.kind != "everyN"
 
     @property
     def is_summable(self) -> bool:
-        return self.kind != EVERY_N
+        return self.kind != "everyN"
 
     def spec_string(self) -> str:
         """The spec `parse_schedule` reads back as this schedule."""
-        if self.kind == POLYNOMIAL:
-            return f"poly:{_spec_number(self.e0)}:{_spec_number(self.p)}"
-        if self.kind == EXPONENTIAL:
-            return f"exp:{_spec_number(self.e0)}:{_spec_number(self.rho)}"
-        if self.kind == ZERO:
-            return "zero"
-        return f"everyN:{self.period}"
+        fields = [str(self.period) if name == "period" else _spec_number(getattr(self, name))
+                  for name in _PARAMS[self.kind]]
+        return ":".join([self.kind, *fields])
 
 
 def _spec_number(value: float) -> str:
@@ -83,61 +76,29 @@ def _spec_number(value: float) -> str:
     return short if float(short) == value else repr(value)
 
 
-def polynomial(e0: float, p: float) -> TriggerSchedule:
-    return TriggerSchedule(kind=POLYNOMIAL, e0=float(e0), p=float(p))
-
-
-def exponential(e0: float, rho: float) -> TriggerSchedule:
-    return TriggerSchedule(kind=EXPONENTIAL, e0=float(e0), rho=float(rho))
-
-
-def zero() -> TriggerSchedule:
-    return TriggerSchedule(kind=ZERO)
-
-
-def every_n(period: int) -> TriggerSchedule:
-    return TriggerSchedule(kind=EVERY_N, period=int(period))
-
-
 def threshold(schedule: TriggerSchedule, k: int) -> Optional[float]:
-    """Every agent's threshold at round k >= 1.
+    """Every agent's threshold at round k >= 0.
 
-    Round 0 is an unconditional broadcast, so k = 0 is a contract violation.
-    Returns None for the periodic kind: the engine consults the modulus rule
-    instead of a deviation threshold.
+    Round 0 is an unconditional broadcast; its value is the base, which
+    keeps the sequence non-increasing: E0 for ``poly`` (its k = 1 value; the
+    formula has none at 0) and ``exp``, 0 for ``zero``. The certificate's
+    threshold budget sums this sequence from round 0. Returns None for the
+    periodic kind, which has no deviation threshold.
     """
-    if k < 1:
-        raise ValueError(f"threshold is defined for rounds k >= 1, got k={k}")
-    if schedule.kind == POLYNOMIAL:
+    if k < 0:
+        raise ValueError(f"threshold is defined for rounds k >= 0, got k={k}")
+    if schedule.kind == "poly":
+        if k == 0:
+            return schedule.e0
         try:
             return schedule.e0 / float(k) ** schedule.p
         except OverflowError:  # k**p is past the float range; the quotient underflows
             return schedule.e0 * float(k) ** -schedule.p
-    if schedule.kind == EXPONENTIAL:
+    if schedule.kind == "exp":
         return schedule.e0 * schedule.rho**k
-    if schedule.kind == ZERO:
+    if schedule.kind == "zero":
         return 0.0
     return None
-
-
-def threshold_envelope(schedule: TriggerSchedule, k: int) -> float:
-    """Summable bound on the broadcast deviation at round k >= 0.
-
-    Matches `threshold` for k >= 1. At k = 0 the deviation is exactly zero
-    (everyone broadcasts), and the polynomial formula has no value there, so
-    the envelope extends it non-increasingly with the k = 1 value; the
-    exponential kind evaluates to its base. Periodic schedules have no
-    summable envelope and are rejected.
-    """
-    if k < 0:
-        raise ValueError(f"round must be >= 0, got {k}")
-    if schedule.kind == EVERY_N:
-        raise ScheduleError("periodic schedules have no summable threshold envelope")
-    if k == 0:
-        if schedule.kind == ZERO:
-            return 0.0
-        return schedule.e0
-    return threshold(schedule, k)
 
 
 # Outside these bounds on a row's largest entry, squaring the row's entries
@@ -165,65 +126,53 @@ def row_norms(diff: np.ndarray) -> np.ndarray:
     return norms
 
 
-def should_broadcast(x_new: np.ndarray, x_tilde_prev: np.ndarray, e: float) -> bool:
-    """True iff the Euclidean deviation strictly exceeds the threshold.
+def broadcasts(schedule: TriggerSchedule, k: int, x: np.ndarray, x_tilde: np.ndarray):
+    """The broadcast decision of every agent at round k >= 1: returns
+    (fired, slack) for the primal stack x and the last broadcast copies
+    x_tilde.
 
-    The one-agent form of the rule `engine.run_round` applies to all agents
-    at once (`row_norms(x - x_tilde) > threshold`); it is kept as the
-    specification the trigger tests check the strict inequality against."""
-    if e < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {e}")
-    diff = np.asarray(x_new, dtype=np.float64) - np.asarray(x_tilde_prev, dtype=np.float64)
-    return bool(row_norms(diff.reshape(1, -1))[0] > e)
+    Agent i fires when ||x_i - x_tilde_i|| strictly exceeds the round's
+    threshold, and its slack is its deviation after the round's broadcasts
+    (zero for a broadcaster, whose copy becomes x_i) minus the threshold.
+    Under ``everyN`` every agent fires on multiples of N and slack is None.
+    """
+    if schedule.kind == "everyN":
+        return np.full(len(x), k % schedule.period == 0), None
+    thr = threshold(schedule, k)
+    norms = row_norms(x - x_tilde)
+    fired = norms > thr
+    return fired, np.where(fired, 0.0, norms) - thr
 
 
-def _parse_value(token: str, position: str) -> float:
-    # "a^b" means a**b, so decay ratios can be written in power form.
+def _parse_value(name: str, token: str, position: str):
+    """One spec field: the integer period, or a real number ("a^b" is a**b)."""
     try:
+        if name == "period":
+            return int(token)
         if "^" in token:
             base_s, exp_s = token.split("^", 1)
             value = float(base_s) ** float(exp_s)
         else:
             value = float(token)
     except (ValueError, OverflowError, ZeroDivisionError):
-        raise ScheduleError(f"cannot parse number {token!r} at {position}") from None
+        raise ScheduleError(f"cannot parse {name} {token!r} at {position}") from None
     if isinstance(value, complex):
         raise ScheduleError(f"{token!r} at {position} is not a real number")
     return value
 
 
 def parse_schedule(spec: str) -> TriggerSchedule:
-    """Parse a schedule spec string: "poly:E0:p", "exp:E0:rho", "zero",
-    "everyN:N". Case-insensitive."""
+    """Parse a schedule spec (one of the forms the module docstring lists)."""
     text = spec.strip()
     if not text:
         raise ScheduleError("empty schedule spec")
-    parts = text.split(":")
-    kind = parts[0].strip().lower()
-    if kind == "zero":
-        if len(parts) != 1:
-            raise ScheduleError(f"'zero' takes no parameters, got {spec!r}")
-        return zero()
-    if kind == "poly":
-        if len(parts) != 3:
-            raise ScheduleError(f"'poly' needs poly:E0:p, got {spec!r}")
-        return polynomial(
-            _parse_value(parts[1], f"{spec!r} field 2"),
-            _parse_value(parts[2], f"{spec!r} field 3"),
-        )
-    if kind == "exp":
-        if len(parts) != 3:
-            raise ScheduleError(f"'exp' needs exp:E0:rho, got {spec!r}")
-        return exponential(
-            _parse_value(parts[1], f"{spec!r} field 2"),
-            _parse_value(parts[2], f"{spec!r} field 3"),
-        )
-    if kind == "everyn":
-        if len(parts) != 2:
-            raise ScheduleError(f"'everyN' needs everyN:N, got {spec!r}")
-        try:
-            period = int(parts[1])
-        except ValueError:
-            raise ScheduleError(f"cannot parse period {parts[1]!r} in {spec!r}") from None
-        return every_n(period)
-    raise ScheduleError(f"unknown schedule kind {parts[0]!r} in {spec!r}")
+    head, *tokens = text.split(":")
+    kind = next((name for name in _PARAMS if name.lower() == head.strip().lower()), None)
+    if kind is None:
+        raise ScheduleError(f"unknown schedule kind {head!r} in {spec!r}")
+    names = _PARAMS[kind]
+    if len(tokens) != len(names):
+        raise ScheduleError(f"expected {':'.join((kind,) + names)}, got {spec!r}")
+    return TriggerSchedule(kind, **{
+        name: _parse_value(name, token, f"{spec!r} field {i}")
+        for i, (name, token) in enumerate(zip(names, tokens), start=2)})

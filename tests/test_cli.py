@@ -295,6 +295,20 @@ class TestCompareSchedules:
             if count is not None and base is not None:
                 assert count <= base
 
+    def test_canonical_specs_name_the_runs(self, tmp_path):
+        cfg = small_cfg(tmp_path, problem="quadratic", eta=(6.0,), rounds=5,
+                        compare=("POLY:20:1.2", "exp:1:0.9^0.1", "everyn:3"))
+        result = run_experiment(cfg)
+        specs = ["poly:20:1.2", "exp:1:0.9895192582062144", "everyN:3", "zero"]
+        names = ["quadratic_s1_poly-20-1_2", "quadratic_s1_exp-1-0_9895192582062144",
+                 "quadratic_s1_everyN-3", "quadratic_s1_zero"]
+        runs = Path(cfg.out)
+        assert {p.name for p in runs.iterdir() if p.is_dir()} == {*names, "cache"}
+        assert [p.name for p in result.run_dirs] == names
+        for spec, name in zip(specs, names):
+            assert f"schedule {spec}" in (runs / name / "summary.txt").read_text().splitlines()
+        rows = (runs / "compare_quadratic_s1.txt").read_text().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == specs
 
     def test_threshold_needs_consensus_as_well_as_gap(self, tmp_path):
         # the logistic comparison workload: at round 3 of the zero schedule

@@ -37,7 +37,7 @@ from etdopt.objective import (
     soft_threshold,
 )
 from etdopt.reference import dual_from_reference, solve_centralized
-from etdopt.trigger import every_n, parse_schedule, polynomial, row_norms, threshold
+from etdopt.trigger import parse_schedule, row_norms, threshold
 
 
 def round_flags(trace):
@@ -185,7 +185,7 @@ class TestRunRound:
     def test_infinite_threshold_freezes_broadcasts(self):
         cfg = lasso_run_config(n=5, rounds=20, schedule="zero")
         # No deviation comes near this threshold (an infinite base is rejected).
-        cfg.schedule = polynomial(1e300, 2.0)
+        cfg.schedule = parse_schedule("poly:1e300:2")
         trace = run(cfg)
         assert np.all(trace.cumulative_broadcasts()[-1] == 1)
         assert np.array_equal(state_broadcast(trace.final_state), trace.x0)

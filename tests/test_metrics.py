@@ -28,6 +28,7 @@ from etdopt.objective import (
     ZeroSmooth,
 )
 from etdopt.reference import solve_centralized
+from etdopt.trigger import threshold
 
 
 def zero_objective(n, m):
@@ -65,7 +66,11 @@ def recomputed_series(config, f_star, x_star):
             point = total / k
         gap.append(config.objective.stacked_value(point) - f_star)
         cons.append(laplacian_norm(norm_lap)(point))
-        dist = float(np.linalg.norm(state.x - x_star))
+        diff = state.x - x_star
+        dist = float(np.linalg.norm(diff))
+        if not np.isfinite(dist):  # the squares overflow: any power-of-two scale gives these bits
+            scale = 2.0 ** np.floor(np.log2(np.max(np.abs(diff))))
+            dist = scale * float(np.linalg.norm(diff / scale))
         resid.append(dist / start if start > 0.0 else dist)
     return np.array(gap), np.array(cons), np.array(resid)
 
@@ -100,6 +105,11 @@ class TestErgodicAverage:
         assert series.signed_gap[80] == pytest.approx(expected, rel=1e-12, abs=1e-14)
         assert series.consensus_error[80] == pytest.approx(
             laplacian_norm(cfg.graph.laplacian)(direct), rel=1e-12, abs=1e-14)
+
+    def test_residual_finite_where_its_squares_overflow(self):
+        series = recorded([np.zeros((4, 3)), np.full((4, 3), 1e160)], x_star=np.ones(3))
+        # ||1e160 - 1|| over 4x3 entries is sqrt(12) 1e160; the start is sqrt(12)
+        assert series.primal_residual[1] == pytest.approx(1e160, rel=1e-15)
 
     def test_out_of_range_rejected(self):
         recorder = ErgodicRecorder(zero_objective(2, 1), np.zeros((2, 2)), 0.0, np.zeros(1))
@@ -225,10 +235,7 @@ class TestBroadcastSummary:
         assert np.all(totals == 16)
 
     def test_frozen_schedule_counts_stay_one(self):
-        from etdopt.trigger import polynomial
-
-        cfg = lasso_run_config(n=4, rounds=15, schedule="zero")
-        cfg.schedule = polynomial(1e300, 2.0)  # above every deviation
+        cfg = lasso_run_config(n=4, rounds=15, schedule="poly:1e300:2")  # above every deviation
         totals = run(cfg).cumulative_broadcasts()[-1]
         assert np.all(totals == 1)
 
@@ -292,6 +299,15 @@ class TestErgodicRateCertificate:
         cfg, trace, reference, series = self.make_run(schedule="zero", rounds=50)
         cert = ergodic_rate_certificate(trace, reference, series)
         assert np.all(cert.error_budget == 0.0)
+
+    @pytest.mark.parametrize("schedule", ["poly:1:1.2", "exp:1:0.9"])
+    def test_budget_sums_thresholds_from_round_zero(self, schedule):
+        cfg, trace, reference, series = self.make_run(schedule=schedule, rounds=50)
+        cert = ergodic_rate_certificate(trace, reference, series)
+        sched = cfg.schedule
+        thresholds = [sched.e0] + [threshold(sched, k) for k in range(1, 50)]
+        gain = 2.0 * cert.trigger_gain * np.sqrt(cfg.n) / cert.residual_gain
+        assert np.array_equal(cert.error_budget, gain * np.cumsum(thresholds)[cert.t_values - 1])
 
     def test_bounds_hold_on_triggered_run(self):
         cfg, trace, reference, series = self.make_run(schedule="poly:1:1.2", rounds=2000)

@@ -13,14 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdopt.cli import ConfigFileError, ExperimentConfig, parse_config
-from etdopt.trigger import (
-    ScheduleError,
-    every_n,
-    exponential,
-    parse_schedule,
-    polynomial,
-    zero,
-)
+from etdopt.trigger import ScheduleError, TriggerSchedule, parse_schedule
 
 FUZZ = settings(max_examples=40, deadline=None)
 
@@ -66,13 +59,14 @@ def rejects_only(parse, error, text):
 
 # -- schedules ---------------------------------------------------------------
 
+FINITE = dict(allow_nan=False, allow_infinity=False)
 schedules = st.one_of(
-    st.builds(polynomial, st.floats(0.0, allow_nan=False, allow_infinity=False),
-              st.floats(1.0, exclude_min=True, allow_nan=False, allow_infinity=False)),
-    st.builds(exponential, st.floats(0.0, allow_nan=False, allow_infinity=False),
-              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-    st.just(zero()),
-    st.builds(every_n, st.integers(1, 10**6)),
+    st.builds(TriggerSchedule, st.just("poly"), e0=st.floats(0.0, **FINITE),
+              p=st.floats(1.0, exclude_min=True, **FINITE)),
+    st.builds(TriggerSchedule, st.just("exp"), e0=st.floats(0.0, **FINITE),
+              rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.just(TriggerSchedule("zero")),
+    st.builds(TriggerSchedule, st.just("everyN"), period=st.integers(1, 10**6)),
 )
 
 

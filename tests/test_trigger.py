@@ -7,16 +7,31 @@ from hypothesis import strategies as st
 
 from etdopt.trigger import (
     ScheduleError,
-    every_n,
-    exponential,
+    TriggerSchedule,
+    broadcasts,
     parse_schedule,
-    polynomial,
     row_norms,
-    should_broadcast,
     threshold,
-    threshold_envelope,
-    zero,
 )
+
+
+def polynomial(e0, p):
+    return TriggerSchedule("poly", e0=e0, p=p)
+
+
+def exponential(e0, rho):
+    return TriggerSchedule("exp", e0=e0, rho=rho)
+
+
+ZERO = TriggerSchedule("zero")
+
+
+def fires(x, x_tilde, e):
+    """One agent's decision at round 1 of a schedule whose round-1 threshold
+    is e."""
+    fired, _ = broadcasts(polynomial(e, 2.0), 1, np.array([x], dtype=float),
+                          np.array([x_tilde], dtype=float))
+    return bool(fired[0])
 
 
 class TestThreshold:
@@ -29,14 +44,14 @@ class TestThreshold:
         assert threshold(sched, k=10) == pytest.approx(0.9, rel=1e-12)
 
     def test_zero_any_round(self):
-        assert threshold(zero(), k=17) == 0.0
+        assert threshold(ZERO, k=17) == 0.0
 
-    def test_round_zero_is_contract_violation(self):
+    def test_negative_round_is_contract_violation(self):
         with pytest.raises(ValueError):
-            threshold(polynomial(1.0, 2.0), k=0)
+            threshold(polynomial(1.0, 2.0), k=-1)
 
     def test_every_n_returns_marker(self):
-        assert threshold(every_n(4), k=3) is None
+        assert threshold(TriggerSchedule("everyN", period=4), k=3) is None
 
     @pytest.mark.parametrize("p, k", [(200.0, 35), (100.0, 1210), (200.0, 10**6)])
     def test_polynomial_past_float_range_underflows(self, p, k):
@@ -46,7 +61,6 @@ class TestThreshold:
         sched = polynomial(1.0, p)
         assert threshold(sched, k) == float(k) ** -p
         assert 0.0 <= threshold(sched, k) < 1e-300
-        assert threshold_envelope(sched, k) == threshold(sched, k)
 
     def test_polynomial_in_float_range_unchanged(self):
         sched = polynomial(20.0, 1.2)
@@ -70,29 +84,33 @@ class TestScheduleValidation:
 
     def test_every_n_requires_positive_period(self):
         with pytest.raises(ScheduleError):
-            every_n(0)
+            TriggerSchedule("everyN", period=0)
 
     def test_periodic_is_not_event_rule(self):
-        assert not every_n(2).is_event_rule
-        assert not every_n(2).is_summable
+        every_2 = TriggerSchedule("everyN", period=2)
+        assert not every_2.is_event_rule
+        assert not every_2.is_summable
         assert polynomial(1.0, 2.0).is_event_rule
         assert exponential(1.0, 0.5).is_summable
-        assert zero().is_summable
+        assert ZERO.is_summable
 
 
 class TestShouldBroadcast:
+    """When an agent should broadcast, as `broadcasts` decides it."""
+
     def test_deviation_above_threshold(self):
-        assert should_broadcast(np.array([0.6]), np.array([0.0]), 0.5)
+        assert fires([0.6], [0.0], 0.5)
 
     def test_tie_does_not_trigger(self):
-        assert not should_broadcast(np.array([0.5]), np.array([0.0]), 0.5)
+        assert not fires([0.5], [0.0], 0.5)
 
     def test_zero_deviation_zero_threshold(self):
-        assert not should_broadcast(np.zeros(3), np.zeros(3), 0.0)
+        assert not fires(np.zeros(3), np.zeros(3), 0.0)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            should_broadcast(np.zeros(2), np.zeros(2), -1.0)
+        for kind in ("poly", "exp"):
+            with pytest.raises(ScheduleError, match="base"):
+                TriggerSchedule(kind, e0=-1.0, p=2.0, rho=0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -100,18 +118,17 @@ class TestShouldBroadcast:
         e=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     )
     def test_strict_inequality_semantics(self, dev, e):
-        fired = should_broadcast(np.array([dev]), np.array([0.0]), e)
-        assert fired == (dev > e)
+        assert fires([dev], [0.0], e) == (dev > e)
 
     def test_tiny_tie_does_not_fire(self):
         # squaring 1.5e-158 goes subnormal, and the plain norm reads it as
         # slightly larger than itself
         e = 1.5058657803867238e-158
-        assert not should_broadcast(np.array([e]), np.array([0.0]), e)
+        assert not fires([e], [0.0], e)
 
     def test_tiny_deviation_above_threshold_fires(self):
         # squaring 3e-200 gives zero, and the plain norm reads it as zero
-        assert should_broadcast(np.array([3e-200, 0.0]), np.zeros(2), 1e-200)
+        assert fires([3e-200, 0.0], np.zeros(2), 1e-200)
 
 
 class TestRowNorms:
@@ -131,10 +148,10 @@ class TestRowNorms:
 class TestMonotonicityAndSums:
     @pytest.mark.parametrize(
         "sched",
-        [polynomial(20.0, 1.2), polynomial(1.0, 2.0), exponential(5.0, 0.9), zero()],
+        [polynomial(20.0, 1.2), polynomial(1.0, 2.0), exponential(5.0, 0.9), ZERO],
     )
     def test_thresholds_non_increasing(self, sched):
-        values = [threshold(sched, k) for k in range(1, 200)]
+        values = [threshold(sched, k) for k in range(200)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_polynomial_partial_sums_bounded(self):
@@ -150,16 +167,10 @@ class TestMonotonicityAndSums:
         assert total <= e0 * rho / (1.0 - rho) + 1e-9
 
     def test_envelope_extends_to_round_zero(self):
-        assert threshold_envelope(polynomial(20.0, 1.2), 0) == 20.0
-        assert threshold_envelope(exponential(4.0, 0.5), 0) == 4.0
-        assert threshold_envelope(zero(), 0) == 0.0
-        assert threshold_envelope(polynomial(20.0, 1.2), 2) == threshold(
-            polynomial(20.0, 1.2), 2
-        )
-
-    def test_envelope_rejects_periodic(self):
-        with pytest.raises(ScheduleError):
-            threshold_envelope(every_n(2), 1)
+        # the certificate's summable envelope is the threshold from round 0 on
+        assert threshold(polynomial(20.0, 1.2), 0) == 20.0
+        assert threshold(exponential(4.0, 0.5), 0) == 4.0
+        assert threshold(ZERO, 0) == 0.0
 
 
 class TestParseSchedule:
