@@ -1,9 +1,9 @@
 """Synchronous multi-agent round loop on stacked arrays.
 
-The network state is three (n, m) stacks, row i belonging to agent i: the
-primal iterates x, the dual variables z and the last broadcast copies
-x_tilde. One round is three network-wide phases, each a few array
-operations:
+The network state is four (n, m) stacks, row i belonging to agent i: the
+primal iterates x, the dual variables z, the last broadcast copies x_tilde
+and their coupling. One round is three network-wide phases, each a few
+array operations:
 
   A. primal: v = x - (z + grad F(x) + beta L x_tilde) / eta, then the
      objective's stacked prox (the identity for smooth objectives; the
@@ -12,9 +12,11 @@ operations:
      ||x_i - x_tilde_i|| exceeds the round's threshold, which all agents
      share (any movement for the zero schedule, every N-th round for the
      periodic one), and its copy becomes x_i;
-  C. dual: z + beta L x_tilde on the fully updated copies.
+  C. dual: z + beta L x_tilde, the coupling of the fully updated copies.
 
-Delivery is implicit: L x_tilde reads every agent's current copy.
+Delivery is implicit: the state carries the coupling beta L x_tilde, the one
+term that reads other agents' copies. Only a round with a broadcast recomputes
+it; both steps add the carried array, bitwise equal to a fresh product.
 
 `run` keeps the starting point, each round's broadcast flags (the one record
 of who broadcast when), the stepsize margins found at validation, two
@@ -26,9 +28,10 @@ computes in an `observe` callable as the round happens (see
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -150,7 +153,9 @@ class RunConfig:
 class NetworkState:
     """All agents at one synchronization point, as read-only stacks: row i
     of `x`, `z` and `x_tilde` is agent i's primal iterate, dual variable and
-    last broadcast copy, and `fired` flags this round's broadcasters.
+    last broadcast copy, row i of `coupling` is (beta L x_tilde)_i, and
+    `fired` flags this round's broadcasters. A round in which nobody fired
+    keeps the previous state's `x_tilde` and `coupling` arrays.
     `trigger_slack` is each agent's deviation ||x_i - x_tilde_i|| after this
     round's broadcasts minus the round's threshold; it is None at round 0
     and under the periodic schedule."""
@@ -158,6 +163,7 @@ class NetworkState:
     x: np.ndarray
     z: np.ndarray
     x_tilde: np.ndarray
+    coupling: np.ndarray
     fired: np.ndarray
     round: int
     trigger_slack: Optional[np.ndarray] = None
@@ -187,24 +193,28 @@ def initial_state(config: RunConfig) -> NetworkState:
     x0 = np.zeros((n, m)) if config.x0 is None else np.array(config.x0, dtype=np.float64)
     x0 = _frozen(x0)
     return NetworkState(x=x0, z=_frozen(np.zeros((n, m))), x_tilde=x0,
+                        coupling=_frozen(config.beta * (config.graph.laplacian @ x0)),
                         fired=_frozen(np.ones(n, dtype=bool)), round=0)
 
 
-def primal_step(objective: CompositeObjective, x, z, lap, x_tilde, eta, beta: float):
+def primal_step(objective: CompositeObjective, x, z, coupling, eta):
     """Prox-linear step of every agent on the linearized augmented
-    Lagrangian: row i is prox_i(1/eta_i, x_i - (z_i + grad_i(x_i) +
-    beta (L x_tilde)_i) / eta_i)."""
-    v = x - (z + objective.gradient_stack(x) + beta * (lap @ x_tilde)) / eta[:, None]
+    Lagrangian, for the coupling beta L x_tilde: row i is
+    prox_i(1/eta_i, x_i - (z_i + grad_i(x_i) + coupling_i) / eta_i)."""
+    v = x - (z + objective.gradient_stack(x) + coupling) / eta[:, None]
     return objective.prox_stack(1.0 / eta, v)
 
 
-def dual_step(z, lap, x_tilde, beta: float):
-    """Dual ascent of every agent on the post-broadcast copies."""
-    return z + beta * (lap @ x_tilde)
+def dual_step(z, coupling):
+    """Dual ascent of every agent by the coupling beta L x_tilde of the
+    post-broadcast copies."""
+    return z + coupling
 
 
 def _check_finite(arr: np.ndarray, round_: int):
-    if not np.isfinite(arr).all():
+    # One BLAS dot is finite whenever the stack is, bar squares that overflow.
+    flat = arr.ravel()
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(arr).all():
         bad = ~np.all(np.isfinite(arr), axis=1)
         raise DivergenceError(int(np.argmax(bad)), round_)
 
@@ -214,18 +224,21 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
     primal step from round-k data, every agent's trigger decision and
     broadcast, then every agent's dual step on the delivered copies."""
     k = state.round + 1
-    lap, eta, beta = config.graph.laplacian, config.eta, config.beta
     # Overflow is not an error here; it surfaces as a divergence below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = primal_step(config.objective, state.x, state.z, lap, state.x_tilde, eta, beta)
-    _check_finite(x, k)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x = primal_step(config.objective, state.x, state.z, state.coupling, config.eta)
+        _check_finite(x, k)
 
-    fired, slack = trig.broadcasts(config.schedule, k, x, state.x_tilde)
-    x_tilde = np.where(fired[:, None], x, state.x_tilde)
+        fired, slack = trig.broadcasts(config.schedule, k, x, state.x_tilde)
+        if fired.any():
+            x_tilde = _frozen(np.where(fired[:, None], x, state.x_tilde))
+            coupling = _frozen(config.beta * (config.graph.laplacian @ x_tilde))
+        else:
+            x_tilde, coupling = state.x_tilde, state.coupling
 
-    z = dual_step(state.z, lap, x_tilde, beta)
-    _check_finite(z, k)
-    return NetworkState(x=_frozen(x), z=_frozen(z), x_tilde=_frozen(x_tilde),
+        z = dual_step(state.z, coupling)
+        _check_finite(z, k)
+    return NetworkState(x=_frozen(x), z=_frozen(z), x_tilde=x_tilde, coupling=coupling,
                         fired=_frozen(fired), round=k,
                         trigger_slack=None if slack is None else _frozen(slack))
 
@@ -245,8 +258,10 @@ class TraceRecord:
 
 @dataclass
 class RunTrace:
-    """Per-round broadcast records plus run-level diagnostics.
+    """Per-round broadcast flags plus run-level diagnostics.
 
+    `broadcast_flags` is a (rounds+1, n) 0/1 matrix, row k flagging round
+    k's broadcasters; rows past `completed_rounds` stay zero.
     `max_trigger_slack` is the worst observed deviation-minus-threshold
     (must stay <= 0 for event rules; None for the periodic scheme) and
     `max_dual_imbalance` the worst |sum_i z_i| relative to n * ||z||_inf.
@@ -255,7 +270,9 @@ class RunTrace:
     """
 
     config: RunConfig
-    records: list = field(default_factory=list)
+    x0: np.ndarray
+    broadcast_flags: np.ndarray
+    completed_rounds: int = 0
     diverged: bool = False
     diverged_round: Optional[int] = None
     diverged_agent: Optional[int] = None
@@ -267,18 +284,18 @@ class RunTrace:
     strong_convexity_margin: Optional[float] = None
 
     @property
-    def completed_rounds(self) -> int:
-        return len(self.records) - 1
-
-    @property
-    def x0(self) -> np.ndarray:
-        """The primal stack at round 0."""
-        return self.records[0].x
+    def records(self) -> list:
+        """One `TraceRecord` per round 0..completed, its flags a row of
+        `broadcast_flags`; round 0's also holds the starting stacks."""
+        flags = self.broadcast_flags[:self.completed_rounds + 1]
+        records = [TraceRecord(k=k, broadcasts=row) for k, row in enumerate(flags)]
+        records[0].x, records[0].z = self.x0, np.zeros_like(self.x0)
+        return records
 
     def cumulative_broadcasts(self) -> np.ndarray:
         """(rounds+1, n) running broadcast counts per agent, round 0
         included; the last row is each agent's total."""
-        return np.cumsum(np.stack([rec.broadcasts for rec in self.records]), axis=0,
+        return np.cumsum(self.broadcast_flags[:self.completed_rounds + 1], axis=0,
                          dtype=np.int64)
 
     @property
@@ -294,45 +311,47 @@ def run(config: RunConfig,
     `observe`, when given, is called with the state of round 0 and then with
     each completed round's state, in order, before the next round starts.
     Divergence does not raise: the returned trace is flagged and holds the
-    rounds completed before the non-finite iterate appeared.
+    rounds completed before the non-finite iterate appeared. The loop,
+    `observe` included, runs with numpy's overflow and invalid warnings off.
     """
     margin, strong_margin = config.validate()
     n = config.n
     event_rule = config.schedule.is_event_rule
-    trace = RunTrace(config=config, stepsize_margin=margin,
-                     strong_convexity_margin=strong_margin)
     started = time.perf_counter()
 
     state = initial_state(config)
-    trace.records.append(
-        TraceRecord(k=0, broadcasts=state.fired.astype(np.uint8), x=state.x, z=state.z))
+    flags = np.zeros((config.rounds + 1, n), dtype=np.uint8)
+    flags[0] = state.fired
+    trace = RunTrace(config=config, x0=state.x, broadcast_flags=flags,
+                     stepsize_margin=margin, strong_convexity_margin=strong_margin)
     if observe is not None:
         observe(state)
     if event_rule:
         trace.max_trigger_slack = -np.inf
 
-    for k in range(1, config.rounds + 1):
-        try:
-            state = run_round(state, config)
-        except DivergenceError as err:
-            trace.diverged = True
-            trace.diverged_round = err.round
-            trace.diverged_agent = err.agent
-            break
-        z_k = state.z
+    # A finite dual stack's column sums can overflow; the imbalance is then inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, config.rounds + 1):
+            try:
+                state = run_round(state, config)
+            except DivergenceError as err:
+                trace.diverged, trace.diverged_round = True, err.round
+                trace.diverged_agent = err.agent
+                break
+            if event_rule:
+                trace.max_trigger_slack = max(trace.max_trigger_slack,
+                                              float(state.trigger_slack.max()))
+            z = state.z
+            z_scale = float(np.abs(z).max()) if z.size else 0.0
+            if z_scale > 0.0:
+                imbalance = float(np.abs(z.sum(axis=0)).max()) / (n * z_scale)
+                if imbalance > trace.max_dual_imbalance:
+                    trace.max_dual_imbalance = imbalance
 
-        if event_rule:
-            trace.max_trigger_slack = max(trace.max_trigger_slack,
-                                          float(np.max(state.trigger_slack)))
-        z_scale = float(np.max(np.abs(z_k))) if z_k.size else 0.0
-        if z_scale > 0.0:
-            imbalance = float(np.max(np.abs(z_k.sum(axis=0)))) / (n * z_scale)
-            if imbalance > trace.max_dual_imbalance:
-                trace.max_dual_imbalance = imbalance
-
-        trace.records.append(TraceRecord(k=k, broadcasts=state.fired.astype(np.uint8)))
-        if observe is not None:
-            observe(state)
+            flags[k] = state.fired
+            trace.completed_rounds = k
+            if observe is not None:
+                observe(state)
 
     trace.final_state = state
     trace.elapsed_seconds = time.perf_counter() - started

@@ -119,7 +119,8 @@ def laplacian_norm(lap: np.ndarray):
     from the cancellation of large terms. Where the squares overflow, d is
     divided by the largest power of two not above its largest entry, which
     is exact, and the form taken again: a finite point has a finite norm
-    unless the norm itself exceeds the float range.
+    unless the norm itself exceeds the float range. The caller sets numpy's
+    error state for the squares (`metrics.ErgodicRecorder` does).
     """
     lap = np.asarray(lap, dtype=np.float64)
     n = lap.shape[0]
@@ -129,16 +130,15 @@ def laplacian_norm(lap: np.ndarray):
 
     def norm(v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):  # handled below
-            d = v - v[0]
-            quad = float(np.sum(d * (lap @ d)))
+        d = v - v[0]
+        quad = float((d * (lap @ d)).sum())
         if math.isfinite(quad):
             return math.sqrt(max(quad, 0.0))
-        peak = float(np.max(np.abs(d)))
+        peak = float(np.abs(d).max())
         if not peak < math.inf:
             return peak  # a non-finite point: inf, or nan
         scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)  # the power of two <= peak
         d /= scale
-        return scale * math.sqrt(max(float(np.sum(d * (lap @ d))), 0.0))
+        return scale * math.sqrt(max(float((d * (lap @ d)).sum()), 0.0))
 
     return norm

@@ -70,21 +70,24 @@ class ErgodicRecorder:
         k = state.round
         if k != len(self._rows):
             raise ValueError(f"expected round {len(self._rows)}, got round {k}")
-        with np.errstate(over="ignore"):  # handled below
+        # Overflowing squares are handled below; a diverging run's errors go inf.
+        with np.errstate(over="ignore", invalid="ignore"):
             diff = state.x - self._x_star
-            dist = float(np.linalg.norm(diff))
-        if not math.isfinite(dist) and np.isfinite(diff).all():
-            # The squares overflow: divide by the power of two <= the largest entry.
-            scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(diff))))[1] - 1)
-            dist = scale * float(np.linalg.norm(diff / scale))
-        if k == 0:
-            self._sum, self._start = np.zeros_like(state.x), dist
-            point = state.x
-        else:
-            self._sum += state.x
-            point = self._sum / k
-        self._rows.append((self._objective.stacked_value(point) - self._f_star,
-                           self._norm(point), dist / self._start if self._start > 0.0 else dist))
+            flat = diff.ravel(order="K")
+            dist = math.sqrt(flat.dot(flat))  # the `np.linalg.norm(diff)` expression
+            if not math.isfinite(dist) and np.isfinite(diff).all():
+                # The squares overflow: divide by the power of two <= the largest entry.
+                scale = math.ldexp(1.0, math.frexp(float(np.abs(diff).max()))[1] - 1)
+                dist = scale * float(np.linalg.norm(diff / scale))
+            if k == 0:
+                self._sum, self._start = np.zeros_like(state.x), dist
+                point = state.x
+            else:
+                self._sum += state.x
+                point = self._sum / k
+            resid = dist / self._start if self._start > 0.0 else dist
+            self._rows.append((self._objective.stacked_value(point) - self._f_star,
+                               self._norm(point), resid))
 
     def series(self) -> ErgodicSeries:
         """The rounds observed so far."""
@@ -186,18 +189,6 @@ class ErgodicRateCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _least_norm_dual_norm(eigvals, eigvecs, z_star: np.ndarray) -> float:
-    """Norm of the least-norm y solving (sqrt L) y = z, per coordinate, from
-    the Laplacian eigendecomposition."""
-    lam_max = float(eigvals[-1])
-    positive = eigvals > _ZERO_EIG_RTOL * max(lam_max, 1.0)
-    coeffs = eigvecs.T @ z_star  # (n, m): rows are eigen-coefficients
-    total = 0.0
-    for i in np.nonzero(positive)[0]:
-        total += float(coeffs[i] @ coeffs[i]) / float(eigvals[i])
-    return float(np.sqrt(total))
-
-
 def ergodic_rate_certificate(
     trace: RunTrace,
     reference: ReferenceSolution,
@@ -209,7 +200,8 @@ def ergodic_rate_certificate(
 
     Requires: a summable schedule, a certified reference, a positive
     stepsize margin (the trace's), strictly positive smooth curvature
-    bounds and error bounds that do not overflow.
+    bounds, a completed round and error bounds that do not overflow. The
+    trace-only requirements are checked before any spectral work.
     """
     config = trace.config
     g, obj = config.graph, config.objective
@@ -223,16 +215,21 @@ def ergodic_rate_certificate(
         raise CertificateError("certificate requires positive smooth curvature for every agent")
     if not trace.stepsize_margin > 0.0:
         raise CertificateError(f"stepsize margin is not positive ({trace.stepsize_margin:.3e})")
+    after_start = series.rounds >= 1
+    t_values = series.rounds[after_start]
+    if t_values.size == 0:
+        raise CertificateError("trace holds no completed round to certify")
 
     lap = g.laplacian
-    eigvals, eigvecs = np.linalg.eigh(lap)
+    eigvals = np.linalg.eigvalsh(lap)
     lam_max = float(eigvals[-1])
-    positive = eigvals > _ZERO_EIG_RTOL * max(lam_max, 1.0)
-    if int(np.sum(~positive)) != 1:
+    if int(np.sum(eigvals <= _ZERO_EIG_RTOL * max(lam_max, 1.0))) != 1:
         raise CertificateError("graph Laplacian must have a single zero eigenvalue (connected)")
 
+    # The least-norm y solving (sqrt L) y = z* has norm^2 tr(z*^T L^+ z*); the columns
+    # of z* sum to zero, and on that subspace (L + 11^T/n)^{-1} is L^+.
     z_star = dual_from_reference(obj, reference.x_star)
-    dual_norm = _least_norm_dual_norm(eigvals, eigvecs, z_star)
+    dual_norm = float(np.sqrt(np.sum(z_star * np.linalg.solve(lap + 1.0 / n, z_star))))
     dual_radius = 2.0 * (dual_norm + 1.0)
 
     # Spectrum of beta*L + 11^T/n: 1 on the all-ones line, beta*lambda elsewhere.
@@ -244,11 +241,6 @@ def ergodic_rate_certificate(
     diff0 = trace.x0 - reference.x_star[None, :]
     p_mat = np.diag(config.eta) - config.beta * lap
     start_distance = float(np.sqrt(max(np.sum(diff0 * (p_mat @ diff0)), 0.0)))
-
-    after_start = series.rounds >= 1
-    t_values = series.rounds[after_start]
-    if t_values.size == 0:
-        raise CertificateError("trace holds no completed round to certify")
 
     # Threshold budget: cumulative network-wide threshold sums through t-1.
     max_t = int(t_values[-1])

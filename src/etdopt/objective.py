@@ -84,7 +84,7 @@ class LeastSquaresLoss:
 
     def value(self, theta) -> float:
         r = self._residual(theta)
-        return 0.5 * float(np.sum(r[..., None, :] @ r[..., None]))
+        return 0.5 * float((r[..., None, :] @ r[..., None]).sum())
 
     def gradient(self, theta) -> np.ndarray:
         return (self._residual(theta)[..., None, :] @ self.a)[..., 0, :]
@@ -124,8 +124,8 @@ class LogisticLoss:
 
     def value(self, theta) -> float:
         squares = (theta[..., None, :] @ theta[..., None])[..., 0, 0]
-        return (float(np.sum(np.logaddexp(0.0, -self._margins(theta))))
-                + float(np.sum(0.5 * self.ridge * squares)))
+        return (float(np.logaddexp(0.0, -self._margins(theta)).sum())
+                + float((0.5 * self.ridge * squares).sum()))
 
     def gradient(self, theta) -> np.ndarray:
         coeff = -self.labels * _sigmoid(-self._margins(theta))
@@ -164,7 +164,7 @@ class DiagonalQuadraticLoss:
         # a stack's elementwise sum gives the recorded objective gaps theirs.
         if d.ndim == 1:
             return 0.5 * float(d @ (self.diag * d))
-        return 0.5 * float(np.sum(self.diag * d * d))
+        return 0.5 * float((self.diag * d * d).sum())
 
     def gradient(self, theta) -> np.ndarray:
         return self.diag * (theta - self.center)
@@ -197,7 +197,7 @@ class CompositeObjective:
     class holding (n, ...) arrays, whose methods run the same code as one
     agent's on a leading agent axis. Its curvature constants are per-agent
     vectors (or one scalar for all), computed once; the prox is a single soft
-    threshold (the identity when every weight is zero).
+    threshold (the identity, and the value has no l1 term, if not `has_l1`).
     """
 
     smooth: tuple
@@ -210,6 +210,7 @@ class CompositeObjective:
             raise ValueError("need a non-empty loss list and one l1 weight per loss")
         if not np.all(self.tau >= 0.0):
             raise ValueError(f"l1 weights must be >= 0, got {self.tau}")
+        self.has_l1 = bool(self.tau.any())
         dims = {f.m for f in self.smooth}
         if len(dims) != 1:
             raise ValueError(f"all losses must share one dimension, got {sorted(dims)}")
@@ -246,17 +247,18 @@ class CompositeObjective:
     def stacked_value(self, x: np.ndarray) -> float:
         """Total objective with agent i evaluated at row i of x."""
         x = np.asarray(x, dtype=np.float64)
-        return float(self.tau @ np.sum(np.abs(x), axis=1)) + self.stack.value(x)
+        l1 = float(self.tau @ np.abs(x).sum(axis=1)) if self.has_l1 else 0.0
+        return l1 + self.stack.value(x)
 
     def gradient_stack(self, x: np.ndarray) -> np.ndarray:
         """Row i: gradient of agent i's smooth loss at row i of x."""
         return self.stack.gradient(np.asarray(x, dtype=np.float64))
 
     def prox_stack(self, steps: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Row i: prox of agent i's l1 term with step steps[i] at v[i]."""
-        if not np.any(self.tau):
+        """Row i: prox of agent i's l1 term with step steps[i] >= 0 at v[i]."""
+        if not self.has_l1:
             return v
-        return soft_threshold(v, (np.asarray(steps) * self.tau)[:, None])
+        return np.sign(v) * np.maximum(np.abs(v) - (np.asarray(steps) * self.tau)[:, None], 0.0)
 
 
 def make_lasso_instance(n: int, p: int, m: int, tau: float, seed: int):

@@ -57,7 +57,7 @@ def solve_centralized(
         return ReferenceSolution(x, objective.centralized_value(x), residual, iterations,
                                  residual <= tol, tol)
 
-    if isinstance(smooth, DiagonalQuadraticLoss) and not np.any(objective.tau):
+    if isinstance(smooth, DiagonalQuadraticLoss) and not objective.has_l1:
         return solution(smooth.center, float(np.linalg.norm(smooth.gradient(smooth.center))), 0)
 
     lip = smooth.lipschitz

@@ -105,6 +105,9 @@ def threshold(schedule: TriggerSchedule, k: int) -> Optional[float]:
 # underflows (or loses precision) or overflows, so the row is divided by its
 # largest entry first.
 _PLAIN_MIN, _PLAIN_MAX = 1e-150, 1e150
+# A plain norm is above 1e149 if the largest entry exceeds 1e150, and below
+# sqrt(2 m) 1e-150 < 1e-140 if it is under 1e-150 (for m < 5e19 entries).
+_NORM_MIN, _NORM_MAX = 1e-140, 1e149
 
 
 def row_norms(diff: np.ndarray) -> np.ndarray:
@@ -113,16 +116,20 @@ def row_norms(diff: np.ndarray) -> np.ndarray:
     Rows whose largest magnitude s lies in [1e-150, 1e150] take the plain
     `np.linalg.norm` value. Any other nonzero row is measured as
     s * ||row / s||, since squaring its entries would go subnormal, to zero
-    or to infinity. A row is then zero exactly when its norm is.
+    or to infinity. A row is then zero exactly when its norm is. s is formed
+    only when some plain norm leaves [1e-140, 1e149]. The caller sets numpy's
+    error state for the squares (`engine.run_round` does).
     """
     diff = np.asarray(diff, dtype=np.float64)
-    with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(diff, axis=1)
-    scale = np.max(np.abs(diff), axis=1, initial=0.0)
+    norms = np.sqrt(np.add.reduce(diff * diff, axis=1))  # the np.linalg.norm expression
+    if norms.size and _NORM_MIN <= norms.min() and norms.max() <= _NORM_MAX:
+        return norms
+    scale = np.abs(diff).max(axis=1, initial=0.0)
     rescale = (scale > 0.0) & ((scale < _PLAIN_MIN) | (scale > _PLAIN_MAX))
-    if np.any(rescale):
+    if rescale.any():
         s = scale[rescale]
-        norms[rescale] = s * np.linalg.norm(diff[rescale] / s[:, None], axis=1)
+        d = diff[rescale] / s[:, None]
+        norms[rescale] = s * np.sqrt(np.add.reduce(d * d, axis=1))
     return norms
 
 

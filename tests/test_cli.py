@@ -367,6 +367,14 @@ class TestMain:
         assert "certificate_skipped" in summary
         assert "_hold" not in summary
 
+    @pytest.mark.filterwarnings("ignore:stepsize condition violated:UserWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_reported_without_runtime_warnings(self, tmp_path, capsys):
+        # Every overflow on the way to the non-finite iterate is expected.
+        assert main(["--problem", "quadratic", "--rounds", "400", "--eta", "0.001",
+                     "--beta", "1", "--out", str(tmp_path / "o")]) == 1
+        assert "diverged: quadratic seed=1 " in capsys.readouterr().err
+
     def test_bad_flag_value_exits_2(self, tmp_path):
         assert main(["--beta", "-3", "--out", str(tmp_path / "x")]) == 2
 

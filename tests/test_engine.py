@@ -67,21 +67,26 @@ def rows(*values):
     return np.array(values, dtype=np.float64).reshape(len(values), -1)
 
 
+def coupling(lap, tilde, beta):
+    """The coupling term the state carries: beta L x_tilde."""
+    return beta * (lap @ tilde)
+
+
 class TestLaplacianDisagreement:
     """beta * L x_tilde, read off the dual step from z = 0 with beta = 1."""
 
     def test_consensus_gives_zero(self):
         tilde = np.array([[1.5, 1.5], [1.5, 1.5]])
-        out = dual_step(np.zeros((2, 2)), K2_LAP, tilde, beta=1.0)
+        out = dual_step(np.zeros((2, 2)), coupling(K2_LAP, tilde, 1.0))
         assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_pair_difference(self):
-        out = dual_step(np.zeros((2, 1)), K2_LAP, rows(1.0, 0.0), beta=1.0)
+        out = dual_step(np.zeros((2, 1)), coupling(K2_LAP, rows(1.0, 0.0), 1.0))
         assert out[0] == pytest.approx([1.0])
 
     def test_path_middle_node(self):
         # row 1 collects (own copy - neighbor copy) over both neighbors
-        out = dual_step(np.zeros((3, 1)), P3_LAP, rows(1.0, 0.0, 1.0), beta=1.0)
+        out = dual_step(np.zeros((3, 1)), coupling(P3_LAP, rows(1.0, 0.0, 1.0), 1.0))
         assert out[1] == pytest.approx([-2.0])
 
 
@@ -89,7 +94,7 @@ class TestPrimalSteps:
     def test_composite_isolated_shrinkage(self):
         # f = 0.5 (x-3)^2 at x=3 has zero gradient; prox of |.| moves 3 to 2
         obj = agents([LeastSquaresLoss(np.array([[1.0]]), np.array([3.0]))], [1.0])
-        out = primal_step(obj, rows(3.0), rows(0.0), ISOLATED, rows(3.0), np.ones(1), 0.5)
+        out = primal_step(obj, rows(3.0), rows(0.0), coupling(ISOLATED, rows(3.0), 0.5), np.ones(1))
         assert out == pytest.approx(soft_threshold(rows(3.0), 1.0))
 
     def test_composite_with_zero_regularizer_matches_smooth(self, rng):
@@ -97,50 +102,50 @@ class TestPrimalSteps:
         obj = make_quadratic_instance(n=2, m=4, seed=1)
         x, z, tilde = (rng.standard_normal((2, 4)) for _ in range(3))
         eta = np.array([2.0, 3.0])
-        out = primal_step(obj, x, z, K2_LAP, tilde, eta, 0.7)
+        out = primal_step(obj, x, z, coupling(K2_LAP, tilde, 0.7), eta)
         plain = x - (z + obj.gradient_stack(x) + 0.7 * (K2_LAP @ tilde)) / eta[:, None]
         assert np.array_equal(out, plain)
 
     def test_smooth_scalar_example(self):
         # isolated agent, f = 0.5 x^2: step from 2 with unit weight lands at 0
         obj = agents([DiagonalQuadraticLoss(np.ones(1), np.zeros(1))])
-        out = primal_step(obj, rows(2.0), rows(0.0), ISOLATED, rows(2.0), np.ones(1), 1.0)
+        out = primal_step(obj, rows(2.0), rows(0.0), coupling(ISOLATED, rows(2.0), 1.0), np.ones(1))
         assert out == pytest.approx(rows(0.0))
 
     def test_smooth_pair_averaging(self):
         obj = agents([ZeroSmooth(1), ZeroSmooth(1)])
         x = rows(1.0, 0.0)
-        out = primal_step(obj, x, np.zeros((2, 1)), K2_LAP, x, np.ones(2), 0.5)
+        out = primal_step(obj, x, np.zeros((2, 1)), coupling(K2_LAP, x, 0.5), np.ones(2))
         assert out == pytest.approx(rows(0.5, 0.5))
 
     def test_smooth_consensus_fixed_point(self):
         obj = agents([ZeroSmooth(1), ZeroSmooth(1)])
         x = rows(1.0, 1.0)
-        out = primal_step(obj, x, np.zeros((2, 1)), K2_LAP, x, np.ones(2), 0.3)
+        out = primal_step(obj, x, np.zeros((2, 1)), coupling(K2_LAP, x, 0.3), np.ones(2))
         assert out == pytest.approx(x)
 
     def test_nonsmooth_shrinkage(self):
         obj = agents([ZeroSmooth(1)], [1.0])
-        out = primal_step(obj, rows(3.0), rows(0.0), ISOLATED, rows(3.0), np.ones(1), 0.5)
+        out = primal_step(obj, rows(3.0), rows(0.0), coupling(ISOLATED, rows(3.0), 0.5), np.ones(1))
         assert out == pytest.approx(rows(2.0))
 
     def test_nonsmooth_zero_regularizer_identity(self):
         obj = agents([ZeroSmooth(1)])
-        out = primal_step(obj, rows(1.3), rows(0.0), ISOLATED, rows(1.3), np.ones(1), 0.5)
+        out = primal_step(obj, rows(1.3), rows(0.0), coupling(ISOLATED, rows(1.3), 0.5), np.ones(1))
         assert out == pytest.approx(rows(1.3))
 
     def test_nonsmooth_dual_shift(self):
         eta, delta = 2.0, 0.4
         obj = agents([ZeroSmooth(1)])
-        out = primal_step(obj, rows(1.0), rows(eta * delta), ISOLATED, rows(1.0),
-                          np.full(1, eta), 0.5)
+        out = primal_step(obj, rows(1.0), rows(eta * delta), coupling(ISOLATED, rows(1.0), 0.5),
+                          np.full(1, eta))
         assert out == pytest.approx(rows(1.0 - delta))
 
     def test_mixed_regularizers_per_row(self):
         # row 0 carries an l1 weight, row 1 none; neither row sees the other's
         obj = agents([ZeroSmooth(1), ZeroSmooth(1)], [1.0, 0.0])
         x = rows(3.0, 3.0)
-        out = primal_step(obj, x, np.zeros((2, 1)), K2_LAP, x, np.ones(2), 0.5)
+        out = primal_step(obj, x, np.zeros((2, 1)), coupling(K2_LAP, x, 0.5), np.ones(2))
         assert out == pytest.approx(rows(2.0, 3.0))
 
     def test_composite_fixed_point_at_optimum(self):
@@ -149,7 +154,7 @@ class TestPrimalSteps:
         z_star = dual_from_reference(obj, sol.x_star)
         x = np.tile(sol.x_star, (4, 1))
         lap = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).laplacian
-        out = primal_step(obj, x, z_star, lap, x, np.full(4, 2.0), 0.5)
+        out = primal_step(obj, x, z_star, coupling(lap, x, 0.5), np.full(4, 2.0))
         assert np.allclose(out, x, atol=1e-12)
 
 
@@ -157,10 +162,10 @@ class TestDualStep:
     def test_consensus_leaves_dual_unchanged(self):
         z = np.array([[0.7, -0.2], [0.1, 0.3]])
         tilde = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert np.array_equal(dual_step(z, K2_LAP, tilde, beta=0.8), z)
+        assert np.array_equal(dual_step(z, coupling(K2_LAP, tilde, 0.8)), z)
 
     def test_pair_antisymmetric_update(self):
-        out = dual_step(np.zeros((2, 1)), K2_LAP, rows(1.0, 0.0), beta=1.0)
+        out = dual_step(np.zeros((2, 1)), coupling(K2_LAP, rows(1.0, 0.0), 1.0))
         assert out == pytest.approx(rows(1.0, -1.0))
 
     def test_dual_sum_conserved_over_run(self):
@@ -215,6 +220,27 @@ class TestRunRound:
         assert cumulative.shape == (41, 6) and cumulative.dtype == np.int64
         assert np.array_equal(cumulative, np.cumsum(flags, axis=0))
         assert np.array_equal(flags[-1], trace.final_state.fired)
+
+
+class TestCarriedCoupling:
+    @pytest.mark.parametrize("schedule", ["poly:1:1.2", "exp:1:0.9", "everyN:2", "zero"])
+    def test_coupling_is_the_product_of_the_copies(self, schedule):
+        cfg = lasso_run_config(n=6, rounds=60, schedule=schedule)
+        states = drive_states(cfg)
+        lap = cfg.graph.laplacian
+        assert np.array_equal(states[0].coupling, cfg.beta * (lap @ states[0].x_tilde))
+        quiet = 0
+        for previous, state in zip(states, states[1:]):
+            assert np.array_equal(state.x_tilde[state.fired], state.x[state.fired])
+            assert np.array_equal(state.coupling, cfg.beta * (lap @ state.x_tilde))
+            if not state.fired.any():
+                quiet += 1
+                assert state.x_tilde is previous.x_tilde
+                assert state.coupling is previous.coupling
+        if schedule == "everyN:2":
+            assert quiet == 30
+        elif schedule != "zero":
+            assert quiet > 0
 
 
 class TestMatrixStep:

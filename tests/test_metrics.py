@@ -13,6 +13,7 @@ from conftest import (
     quadratic_run_config,
     run_with_series,
 )
+from etdopt import metrics
 from etdopt.cli import write_trace_csv
 from etdopt.engine import run, suggested_stepsizes
 from etdopt.graph import Graph, laplacian_norm
@@ -27,7 +28,7 @@ from etdopt.objective import (
     LeastSquaresLoss,
     ZeroSmooth,
 )
-from etdopt.reference import solve_centralized
+from etdopt.reference import dual_from_reference, solve_centralized
 from etdopt.trigger import threshold
 
 
@@ -57,21 +58,22 @@ def recomputed_series(config, f_star, x_star):
     start = float(np.linalg.norm(states[0].x - x_star))
     total = np.zeros_like(states[0].x)
     gap, cons, resid = [], [], []
-    for state in states:
-        k = state.round
-        if k == 0:
-            point = state.x
-        else:
-            total += state.x
-            point = total / k
-        gap.append(config.objective.stacked_value(point) - f_star)
-        cons.append(laplacian_norm(norm_lap)(point))
-        diff = state.x - x_star
-        dist = float(np.linalg.norm(diff))
-        if not np.isfinite(dist):  # the squares overflow: any power-of-two scale gives these bits
-            scale = 2.0 ** np.floor(np.log2(np.max(np.abs(diff))))
-            dist = scale * float(np.linalg.norm(diff / scale))
-        resid.append(dist / start if start > 0.0 else dist)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the recorder's
+        for state in states:
+            k = state.round
+            if k == 0:
+                point = state.x
+            else:
+                total += state.x
+                point = total / k
+            gap.append(config.objective.stacked_value(point) - f_star)
+            cons.append(laplacian_norm(norm_lap)(point))
+            diff = state.x - x_star
+            dist = float(np.linalg.norm(diff))
+            if not np.isfinite(dist):  # squares overflow: any power-of-two scale gives these bits
+                scale = 2.0 ** np.floor(np.log2(np.max(np.abs(diff))))
+                dist = scale * float(np.linalg.norm(diff / scale))
+            resid.append(dist / start if start > 0.0 else dist)
     return np.array(gap), np.array(cons), np.array(resid)
 
 
@@ -135,7 +137,7 @@ class TestStreamedSeries:
         assert np.array_equal(series.consensus_error, cons)
         assert np.array_equal(series.primal_residual, resid)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_ends_in_sentinel_row(self, tmp_path):
         cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero",
                                    enforce_stepsize=False)
@@ -347,6 +349,28 @@ class TestErgodicRateCertificate:
         assert np.array_equal(cert.t_values, series.rounds[1:])
         assert np.array_equal(cert.objective_measured, series.signed_gap[1:])
         assert np.array_equal(cert.consensus_measured, series.consensus_error[1:])
+
+    @pytest.mark.parametrize("n, graph_r", [(64, 0.1), (64, 0.4), (100, 0.06), (100, 0.4)])
+    def test_dual_norm_matches_eigendecomposition(self, n, graph_r):
+        cfg, trace, reference, series = self.make_run(rounds=3, n=n, graph_r=graph_r)
+        cert = ergodic_rate_certificate(trace, reference, series)
+        # Oracle: ||(sqrt L)^+ z*||, summed over the positive eigenpairs of L.
+        w, v = np.linalg.eigh(cfg.graph.laplacian)
+        coeffs = v.T @ dual_from_reference(cfg.objective, reference.x_star)
+        positive = w > 1e-9 * w[-1]
+        oracle = np.sqrt(np.sum(coeffs[positive] ** 2 / w[positive, None]))
+        assert cert.dual_norm == pytest.approx(oracle, rel=1e-13)
+
+    def test_zero_round_trace_rejected_before_spectral_work(self, monkeypatch):
+        cfg, trace, reference, series = self.make_run(rounds=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral work on a trace with no completed round")
+
+        for name in ("eigvalsh", "eigh", "solve", "pinv"):
+            monkeypatch.setattr(metrics.np.linalg, name, refuse)
+        with pytest.raises(CertificateError, match="no completed round"):
+            ergodic_rate_certificate(trace, reference, series)
 
     def test_report_text_shape(self):
         cfg, trace, reference, series = self.make_run(rounds=50)

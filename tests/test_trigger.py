@@ -131,14 +131,64 @@ class TestShouldBroadcast:
         assert fires([3e-200, 0.0], np.zeros(2), 1e-200)
 
 
+def exhaustive_row_norms(rows):
+    """The rule row by row: the plain `np.linalg.norm` value when the row's
+    largest magnitude s lies in [1e-150, 1e150] (or is zero or nan), else
+    s times the plain norm of row / s."""
+    out = []
+    with np.errstate(all="ignore"):
+        for row in rows[:, None, :]:
+            s = np.max(np.abs(row))
+            if s > 0.0 and not 1e-150 <= s <= 1e150:
+                out.append(s * np.linalg.norm(row / s, axis=1)[0])
+            else:
+                out.append(np.linalg.norm(row, axis=1)[0])
+    return np.array(out)
+
+
+# Entries around every edge of the plain band and of its norm band, and the
+# values that break squaring: subnormals, inf and nan.
+_EDGES = [0.0, 1.0, 3.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 3.3e-155, 7.7e-155,
+          1.3e-154, 1e-141, 1e-140, 3.3e149, 7.7e149, 1.3e150, 1e151, 1e200, np.inf, np.nan]
+_EDGES += [np.nextafter(v, d) for v in (1e-150, 1e150) for d in (0.0, np.inf)] + [1e-150, 1e150]
+_ENTRY = st.one_of(st.sampled_from(_EDGES), st.floats(width=64)).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+
+
 class TestRowNorms:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 5)), data=st.data())
+    def test_bitwise_equal_to_the_exhaustive_rule(self, shape, data):
+        entries = data.draw(st.lists(_ENTRY, min_size=shape[0] * shape[1],
+                                     max_size=shape[0] * shape[1]))
+        rows = np.array(entries, dtype=np.float64).reshape(shape)
+        if data.draw(st.booleans()):  # a zero row beside the drawn ones
+            rows[data.draw(st.integers(0, shape[0] - 1))] = 0.0
+        with np.errstate(all="ignore"):
+            out = row_norms(rows)
+        expected = exhaustive_row_norms(rows)
+        assert np.array_equal(np.isnan(out), np.isnan(expected))
+        numbers = ~np.isnan(expected)
+        assert np.array_equal(out[numbers].view(np.uint64), expected[numbers].view(np.uint64))
+
+    def test_rows_just_past_the_band_take_the_scaled_value(self):
+        # Largest entries just outside [1e-150, 1e150] and plain norms near
+        # them, where the plain and the scaled norm differ in the last bit.
+        for row in ([1.1e150, 7.8461592039975415e149, 5.343717586028342e149],
+                    [9e-151, 4.2145130045902074e-151, 5.3517088701517826e-151]):
+            rows = np.array([row])
+            out = row_norms(rows)
+            assert np.array_equal(out, exhaustive_row_norms(rows))
+            assert out[0] != np.linalg.norm(rows, axis=1)[0]
+
     def test_normal_rows_match_plain_norm_bitwise(self):
         rows = np.random.default_rng(4).standard_normal((20, 7)) * 10.0 ** np.arange(-20, 20, 2)[:, None]
         assert np.array_equal(row_norms(rows), np.linalg.norm(rows, axis=1))
 
     def test_tiny_huge_and_zero_rows(self):
         rows = np.array([[3e-200, 4e-200], [3e200, 4e200], [0.0, 0.0], [5e-324, 0.0]])
-        out = row_norms(rows)
+        with np.errstate(over="ignore"):  # the caller's error state for the squares
+            out = row_norms(rows)
         assert out[0] == pytest.approx(5e-200, rel=1e-15)
         assert out[1] == pytest.approx(5e200, rel=1e-15)
         assert out[2] == 0.0
