@@ -28,12 +28,11 @@ def soft_threshold(y: np.ndarray, t) -> np.ndarray:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """1 / (1 + exp(-u)) for u >= 0 and exp(u) / (1 + exp(u)) otherwise, so
+    exp never overflows. e = exp(-|u|) serves both branches; `minimum(u, -u)`
+    is -|u| that keeps a nan's sign and payload."""
+    e = np.exp(np.minimum(u, -u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 class ZeroSmooth:

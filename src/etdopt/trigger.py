@@ -117,13 +117,19 @@ def row_norms(diff: np.ndarray) -> np.ndarray:
     `np.linalg.norm` value. Any other nonzero row is measured as
     s * ||row / s||, since squaring its entries would go subnormal, to zero
     or to infinity. A row is then zero exactly when its norm is. s is formed
-    only when some plain norm leaves [1e-140, 1e149]. The caller sets numpy's
-    error state for the squares (`engine.run_round` does).
+    only when some plain norm leaves [1e-140, 1e149] and is not the zero norm
+    of a row that is exactly zero. The caller sets numpy's error state for
+    the squares (`engine.run_round` does).
     """
     diff = np.asarray(diff, dtype=np.float64)
     norms = np.sqrt(np.add.reduce(diff * diff, axis=1))  # the np.linalg.norm expression
-    if norms.size and _NORM_MIN <= norms.min() and norms.max() <= _NORM_MAX:
-        return norms
+    if norms.size and norms.max() <= _NORM_MAX:
+        if _NORM_MIN <= norms.min():
+            return norms
+        # A zero norm comes from a zero row or from squares that underflow.
+        small = norms < _NORM_MIN
+        if not norms[small].any() and not diff[small].any():
+            return norms
     scale = np.abs(diff).max(axis=1, initial=0.0)
     rescale = (scale > 0.0) & ((scale < _PLAIN_MIN) | (scale > _PLAIN_MAX))
     if rescale.any():

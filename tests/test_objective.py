@@ -15,6 +15,7 @@ from etdopt.objective import (
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
+    _sigmoid,
     soft_threshold,
 )
 
@@ -156,6 +157,43 @@ class TestLassoInstance:
         b, raw_b = make_lasso_instance(5, 3, 8, 0.1, seed=9)
         assert all(np.array_equal(raw_a[k], raw_b[k]) for k in raw_a)
         assert np.array_equal(a.tau, b.tau)
+
+
+def two_branch_sigmoid(u):
+    """The sigmoid by boolean masks, one exp per branch: the oracle."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+_SIGMOID_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]),
+    st.floats(700.0, 800.0).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-50.0, 50.0),
+)
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from([(7,), (3, 4), (2, 3, 2)]), data=st.data())
+    def test_bitwise_equal_to_the_two_branch_form(self, shape, data):
+        size = int(np.prod(shape))
+        u = np.array(data.draw(st.lists(_SIGMOID_ENTRY, min_size=size, max_size=size)),
+                     dtype=np.float64).reshape(shape)
+        with np.errstate(under="ignore"):
+            got, want = _sigmoid(u), two_branch_sigmoid(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_saturates_without_overflow(self):
+        u = np.array([-800.0, -0.0, 0.0, 800.0])
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            assert _sigmoid(u).tolist() == [0.0, 0.5, 0.5, 1.0]
 
 
 class TestLogisticInstance:

@@ -153,17 +153,22 @@ _EDGES = [0.0, 1.0, 3.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 3.3e-1
 _EDGES += [np.nextafter(v, d) for v in (1e-150, 1e150) for d in (0.0, np.inf)] + [1e-150, 1e150]
 _ENTRY = st.one_of(st.sampled_from(_EDGES), st.floats(width=64)).flatmap(
     lambda v: st.sampled_from([v, -v]))
+# Whole rows: drawn entries, exact zeros, entries whose squares all underflow
+# to zero (a zero plain norm from a nonzero row), or plain in-band entries.
+_TINY = st.floats(-1e-162, 1e-162, allow_subnormal=True)
+_ROW_KINDS = {"drawn": _ENTRY, "zero": st.just(0.0), "tiny": _TINY,
+              "plain": st.floats(-10.0, 10.0)}
 
 
 class TestRowNorms:
     @settings(max_examples=300, deadline=None)
     @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 5)), data=st.data())
     def test_bitwise_equal_to_the_exhaustive_rule(self, shape, data):
-        entries = data.draw(st.lists(_ENTRY, min_size=shape[0] * shape[1],
-                                     max_size=shape[0] * shape[1]))
-        rows = np.array(entries, dtype=np.float64).reshape(shape)
-        if data.draw(st.booleans()):  # a zero row beside the drawn ones
-            rows[data.draw(st.integers(0, shape[0] - 1))] = 0.0
+        kinds = data.draw(st.lists(st.sampled_from(sorted(_ROW_KINDS)),
+                                   min_size=shape[0], max_size=shape[0]))
+        rows = np.array([data.draw(st.lists(_ROW_KINDS[kind], min_size=shape[1],
+                                            max_size=shape[1]))
+                         for kind in kinds], dtype=np.float64)
         with np.errstate(all="ignore"):
             out = row_norms(rows)
         expected = exhaustive_row_norms(rows)
