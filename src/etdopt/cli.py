@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +43,7 @@ class ConfigFileError(ValueError):
     """Config file or flag rejected, with position information."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     problem: str = "lasso"
     n: int = 100
     m: int = 50
@@ -218,13 +216,11 @@ def write_trace_csv(path: Path, trace: RunTrace, series: metrics.ErgodicSeries):
     `series`. A diverged run ends with a sentinel row of NaNs at the failing
     round."""
     cumulative = trace.cumulative_broadcasts()
+    agent0, totals = cumulative[:, 0].tolist(), cumulative.sum(axis=1).tolist()
     lines = [CSV_HEADER]
     for k, gap, cons, resid in zip(series.rounds.tolist(), series.objective_gap,
                                    series.consensus_error, series.primal_residual):
-        lines.append(
-            f"{k},{_fmt(gap)},{_fmt(cons)},{_fmt(resid)},"
-            f"{int(cumulative[k, 0])},{int(cumulative[k].sum())}"
-        )
+        lines.append(f"{k},{_fmt(gap)},{_fmt(cons)},{_fmt(resid)},{agent0[k]},{totals[k]}")
     if trace.diverged:
         lines.append(f"{trace.diverged_round},nan,nan,nan,nan,nan")
     path.write_text("\n".join(lines) + "\n")
@@ -273,8 +269,7 @@ def write_summary(path: Path, cfg: ExperimentConfig, trace: RunTrace,
     path.write_text(body)
 
 
-@dataclass
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     """Broadcasts by agent 0 needed to first reach each threshold, per
     schedule, with ratios against the always-broadcast baseline.
 
@@ -341,12 +336,17 @@ def compare_schedules(traces: dict, series: dict,
     )
 
 
-@dataclass
-class ExperimentResult:
-    exit_code: int
-    run_dirs: list = field(default_factory=list)
-    diverged_runs: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
+class ExperimentResult(NamedTuple):
+    """A sweep's run directories, one line per diverged run, and in compare
+    mode each seed's table."""
+
+    run_dirs: list
+    diverged_runs: list
+    tables: dict
+
+    @property
+    def exit_code(self) -> int:
+        return 1 if self.diverged_runs else 0
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -356,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
-    result = ExperimentResult(exit_code=0)
+    run_dirs, diverged_runs, tables = [], [], {}
 
     # canonical spec strings so the comparison baseline is always keyed "zero"
     raw_specs = cfg.compare if cfg.compare else (cfg.schedule,)
@@ -405,20 +405,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 certificate_text = _certificate_block(trace, reference, series)
             write_trace_csv(run_dir / "trace.csv", trace, series)
             write_summary(run_dir / "summary.txt", cfg, trace, series, certificate_text, digest)
-            result.run_dirs.append(run_dir)
+            run_dirs.append(run_dir)
             if trace.diverged:
-                result.diverged_runs.append(
+                diverged_runs.append(
                     f"{cfg.problem} seed={seed} schedule={spec} round={trace.diverged_round}"
                 )
-                result.exit_code = 1
 
         if cfg.compare:
             table = compare_schedules(seed_traces, seed_series)
             table_path = out_dir / f"compare_{cfg.problem}_s{seed}.txt"
             table_path.write_text(table.render())
-            result.tables[seed] = table
+            tables[seed] = table
 
-    return result
+    return ExperimentResult(run_dirs, diverged_runs, tables)
 
 
 def _certificate_block(trace: RunTrace, reference: ReferenceSolution,

@@ -21,8 +21,9 @@ it; both steps add the carried array, bitwise equal to a fresh product.
 `run` keeps the starting point, each round's broadcast flags (the one record
 of who broadcast when), the stepsize margins found at validation, two
 running diagnostics (trigger slack, dual imbalance) and the final state; it
-stores no per-round iterates. Anything else a caller wants from every round it
-computes in an `observe` callable as the round happens (see
+stores no per-round iterates. It holds them in locals and builds its
+`RunTrace` once, when the run ends. Anything else a caller wants from every
+round it computes in an `observe` callable as the round happens (see
 `metrics.ErgodicRecorder`).
 """
 
@@ -32,7 +33,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,8 +150,7 @@ class RunConfig:
         return margin, stepsize_margin(self.eta, self.beta, g, lf**2 / float(np.min(mu)))
 
 
-@dataclass(frozen=True)
-class NetworkState:
+class NetworkState(NamedTuple):
     """All agents at one synchronization point, as read-only stacks: row i
     of `x`, `z` and `x_tilde` is agent i's primal iterate, dual variable and
     last broadcast copy, row i of `coupling` is (beta L x_tilde)_i, and
@@ -243,8 +243,7 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
                         trigger_slack=None if slack is None else _frozen(slack))
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One round of a run: its broadcast flags. Only round 0 holds the
     starting stacks x and z; later rounds hold none, and no record holds an
     ergodic sum (the field stays for readers of the record layout)."""
@@ -256,41 +255,45 @@ class TraceRecord:
     ergodic_sum: Optional[np.ndarray] = None
 
 
-@dataclass
-class RunTrace:
-    """Per-round broadcast flags plus run-level diagnostics.
+class RunTrace(NamedTuple):
+    """Per-round broadcast flags plus run-level diagnostics, built once when
+    the run ends.
 
     `broadcast_flags` is a (rounds+1, n) 0/1 matrix, row k flagging round
     k's broadcasters; rows past `completed_rounds` stay zero.
-    `max_trigger_slack` is the worst observed deviation-minus-threshold
-    (must stay <= 0 for event rules; None for the periodic scheme) and
-    `max_dual_imbalance` the worst |sum_i z_i| relative to n * ||z||_inf.
-    `stepsize_margin` and `strong_convexity_margin` are the two margins
-    `RunConfig.validate` returned.
+    `diverged_round` and `diverged_agent` locate the first non-finite
+    iterate (None if the run finished). `max_trigger_slack` is the worst
+    observed deviation-minus-threshold (must stay <= 0 for event rules;
+    None for the periodic scheme) and `max_dual_imbalance` the worst
+    |sum_i z_i| relative to n * ||z||_inf. `stepsize_margin` and
+    `strong_convexity_margin` are the two margins `RunConfig.validate`
+    returned.
     """
 
     config: RunConfig
     x0: np.ndarray
     broadcast_flags: np.ndarray
-    completed_rounds: int = 0
-    diverged: bool = False
-    diverged_round: Optional[int] = None
-    diverged_agent: Optional[int] = None
-    max_trigger_slack: Optional[float] = None
-    max_dual_imbalance: float = 0.0
-    final_state: Optional[NetworkState] = None
-    elapsed_seconds: float = 0.0
-    stepsize_margin: float = float("nan")
-    strong_convexity_margin: Optional[float] = None
+    completed_rounds: int
+    diverged_round: Optional[int]
+    diverged_agent: Optional[int]
+    max_trigger_slack: Optional[float]
+    max_dual_imbalance: float
+    final_state: NetworkState
+    elapsed_seconds: float
+    stepsize_margin: float
+    strong_convexity_margin: Optional[float]
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_round is not None
 
     @property
     def records(self) -> list:
         """One `TraceRecord` per round 0..completed, its flags a row of
         `broadcast_flags`; round 0's also holds the starting stacks."""
         flags = self.broadcast_flags[:self.completed_rounds + 1]
-        records = [TraceRecord(k=k, broadcasts=row) for k, row in enumerate(flags)]
-        records[0].x, records[0].z = self.x0, np.zeros_like(self.x0)
-        return records
+        return [TraceRecord(0, flags[0], self.x0, np.zeros_like(self.x0))] + [
+            TraceRecord(k, row) for k, row in enumerate(flags[1:], start=1)]
 
     def cumulative_broadcasts(self) -> np.ndarray:
         """(rounds+1, n) running broadcast counts per agent, round 0
@@ -320,14 +323,14 @@ def run(config: RunConfig,
     started = time.perf_counter()
 
     state = initial_state(config)
+    x0 = state.x
     flags = np.zeros((config.rounds + 1, n), dtype=np.uint8)
     flags[0] = state.fired
-    trace = RunTrace(config=config, x0=state.x, broadcast_flags=flags,
-                     stepsize_margin=margin, strong_convexity_margin=strong_margin)
     if observe is not None:
         observe(state)
-    if event_rule:
-        trace.max_trigger_slack = -np.inf
+    slack = -np.inf if event_rule else None
+    imbalance = 0.0
+    diverged_round = diverged_agent = None
 
     # A finite dual stack's column sums can overflow; the imbalance is then inf.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -335,24 +338,21 @@ def run(config: RunConfig,
             try:
                 state = run_round(state, config)
             except DivergenceError as err:
-                trace.diverged, trace.diverged_round = True, err.round
-                trace.diverged_agent = err.agent
+                diverged_round, diverged_agent = err.round, err.agent
                 break
             if event_rule:
-                trace.max_trigger_slack = max(trace.max_trigger_slack,
-                                              float(state.trigger_slack.max()))
+                slack = max(slack, float(state.trigger_slack.max()))
             z = state.z
             z_scale = float(np.abs(z).max()) if z.size else 0.0
             if z_scale > 0.0:
-                imbalance = float(np.abs(z.sum(axis=0)).max()) / (n * z_scale)
-                if imbalance > trace.max_dual_imbalance:
-                    trace.max_dual_imbalance = imbalance
+                imbalance = max(imbalance, float(np.abs(z.sum(axis=0)).max()) / (n * z_scale))
 
             flags[k] = state.fired
-            trace.completed_rounds = k
             if observe is not None:
                 observe(state)
 
-    trace.final_state = state
-    trace.elapsed_seconds = time.perf_counter() - started
-    return trace
+    return RunTrace(config=config, x0=x0, broadcast_flags=flags, completed_rounds=state.round,
+                    diverged_round=diverged_round, diverged_agent=diverged_agent,
+                    max_trigger_slack=slack, max_dual_imbalance=imbalance, final_state=state,
+                    elapsed_seconds=time.perf_counter() - started, stepsize_margin=margin,
+                    strong_convexity_margin=strong_margin)

@@ -14,7 +14,7 @@ the resulting `ErgodicSeries` plus the trace's round 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class CertificateError(ValueError):
     """Certificate preconditions not met."""
 
 
-@dataclass
-class ErgodicSeries:
+class ErgodicSeries(NamedTuple):
     """Errors of one run at each of its rounds 0..completed: the gap and
     consensus error of the starting point at round 0 and of the ergodic
     average from round 1 on, and the primal residual of the iterate."""
@@ -96,8 +95,7 @@ class ErgodicRecorder:
                              consensus_error=cons, primal_residual=resid)
 
 
-@dataclass
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -138,8 +136,7 @@ def rate_fit(series, model: str = "loglog") -> RateFit:
     return RateFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
 
-@dataclass
-class ErgodicRateCertificate:
+class ErgodicRateCertificate(NamedTuple):
     """Computable O(1/t) bound for ergodic consensus and objective errors.
 
     `trigger_gain` multiplies the threshold budget, `residual_gain` lower

@@ -12,7 +12,6 @@ a separable quadratic with a closed-form minimizer. `instance_hash` names an ins
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -103,7 +102,7 @@ class LogisticLoss:
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("need features (s, m) and labels (s,)")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
+        if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +/-1")
         if not ridge >= 0.0:
             raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -122,9 +121,11 @@ class LogisticLoss:
         return self.labels * (self.features @ theta[..., None])[..., 0]
 
     def value(self, theta) -> float:
+        loss = float(np.logaddexp(0.0, -self._margins(theta)).sum())
+        if not self.ridge.any():
+            return loss
         squares = (theta[..., None, :] @ theta[..., None])[..., 0, 0]
-        return (float(np.logaddexp(0.0, -self._margins(theta)).sum())
-                + float((0.5 * self.ridge * squares).sum()))
+        return loss + float((0.5 * self.ridge * squares).sum())
 
     def gradient(self, theta) -> np.ndarray:
         coeff = -self.labels * _sigmoid(-self._margins(theta))
@@ -186,7 +187,6 @@ _ARRAYS = {
 }
 
 
-@dataclass
 class CompositeObjective:
     """n agents' smooth losses `smooth` plus their l1 weights `tau`.
 
@@ -199,12 +199,9 @@ class CompositeObjective:
     threshold (the identity, and the value has no l1 term, if not `has_l1`).
     """
 
-    smooth: tuple
-    tau: np.ndarray
-
-    def __post_init__(self):
-        self.smooth = tuple(self.smooth)
-        self.tau = np.array(self.tau, dtype=np.float64)
+    def __init__(self, smooth, tau):
+        self.smooth = tuple(smooth)
+        self.tau = np.array(tau, dtype=np.float64)
         if not self.smooth or self.tau.shape != (len(self.smooth),):
             raise ValueError("need a non-empty loss list and one l1 weight per loss")
         if not np.all(self.tau >= 0.0):

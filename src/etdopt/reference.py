@@ -16,7 +16,7 @@ decentralized stepsize checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ CACHE_MAGIC = "etdopt-reference"
 CACHE_VERSION = 1
 
 
-@dataclass
-class ReferenceSolution:
+class ReferenceSolution(NamedTuple):
     x_star: np.ndarray
     f_star: float
     solver_residual: float

@@ -339,12 +339,21 @@ class TestRun:
         cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero",
                                    enforce_stepsize=False)
         cfg.eta = np.full(6, 1e-3)  # badly undersized weights blow up
+        state = initial_state(cfg)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            for _ in range(cfg.rounds):
+                state = run_round(state, cfg)
+        assert (err.value.round, err.value.agent) == (88, 0)
         with pytest.warns(UserWarning):
             trace = run(cfg)
         assert trace.diverged
-        assert trace.diverged_round is not None
-        assert trace.diverged_agent is not None
-        assert trace.completed_rounds < 500
+        assert (trace.diverged_round, trace.diverged_agent) == (88, 0)
+        assert trace.completed_rounds == trace.final_state.round == 87
+        assert np.array_equal(state_primal(trace.final_state), state_primal(state))
+        assert np.array_equal(state_dual(trace.final_state), state_dual(state))
+        assert not trace.broadcast_flags[88:].any()
+        with pytest.raises(AttributeError):
+            trace.diverged_round = None
 
     def test_trigger_bound_holds_every_round(self):
         for schedule in ("poly:2:1.3", "exp:1:0.92", "zero"):

@@ -242,6 +242,22 @@ class TestLogisticInstance:
         _, raw = make_logistic_instance(n=4, m_i=6, m=5, seed=6)
         assert set(np.unique(raw["labels"])) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("bad", [0.0, 0.5, -1.0000000000000002, 2.0, np.inf, np.nan])
+    def test_non_sign_label_rejected(self, bad):
+        LogisticLoss(np.ones((2, 2)), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="labels"):
+            LogisticLoss(np.ones((2, 2)), np.array([1.0, bad]))
+
+    def test_zero_ridge_value_finite_past_square_overflow(self):
+        # theta^T theta overflows to inf; a zero ridge adds nothing, not 0 * inf = nan.
+        obj, _ = make_logistic_instance(n=3, m_i=4, m=2, seed=7)
+        theta = np.full((3, 2), 1e200)
+        for part, row in zip(obj.smooth, theta):
+            assert np.isfinite(part.value(row))
+        assert np.isfinite(obj.stack.value(theta))
+        assert obj.stack.value(theta) == pytest.approx(
+            sum(p.value(r) for p, r in zip(obj.smooth, theta)), rel=1e-12)
+
 
 class TestQuadraticInstance:
     def test_two_agent_average(self):
