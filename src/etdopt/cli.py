@@ -2,8 +2,10 @@
 
 Parses flat key-value config files (flags override), generates instances,
 runs (seed x schedule) sweeps, and emits plot-ready CSV traces plus text
-summaries. Each seed's centralized reference is solved afresh and written to
-`cache/` as an output; nothing under the output directory is read back.
+summaries. One parser per config key reads and range-checks a file line and
+a flag alike, so every rejection names its line or flag. Each seed's
+centralized reference is solved afresh and written to `cache/` as an
+output; nothing under the output directory is read back.
 Schedule comparison mode tabulates the broadcasts needed to reach
 objective-gap and consensus thresholds against the always-broadcast
 baseline.
@@ -71,93 +73,89 @@ class ExperimentConfig(NamedTuple):
         return np.broadcast_to(np.asarray(self.eta, dtype=np.float64), (n,)).copy()
 
 
-def _parse_bool(value: str, where: str) -> bool:
-    low = value.strip().lower()
+def _checked(cast, accepts, rule: str):
+    """A parser of one `cast` value that `accepts` admits (`rule` says which)."""
+    def parse(text: str):
+        value = cast(text)
+        if not accepts(value):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return value
+    return parse
+
+
+def _items(parse):
+    """A parser of a comma-separated list, each item read by `parse`."""
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+
+
+def _boolean(text: str) -> bool:
+    low = text.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigFileError(f"{where}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_list(value: str, where: str, cast) -> tuple:
-    try:
-        return tuple(cast(v.strip()) for v in value.split(",") if v.strip())
-    except ValueError:
-        raise ConfigFileError(
-            f"{where}: expected comma-separated {cast.__name__} values, got {value!r}") from None
+def _schedule_spec(text: str) -> str:
+    trigger.parse_schedule(text)  # rejects the spec here, with its key and position
+    return text
+
+
+_at_least_1 = _checked(int, lambda v: v >= 1, ">= 1")
+_non_negative = _checked(int, lambda v: v >= 0, ">= 0")
+_finite_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, ">= 0 and finite")
+_positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+
+# Each config key's parser: stripped text in, value out, ValueError on text
+# it cannot read or a value out of range. Files and flags both go through it.
+_PARSERS = {
+    "problem": _checked(str, PROBLEMS.__contains__, f"one of {', '.join(PROBLEMS)}"),
+    "n": _checked(int, lambda v: v >= 2, ">= 2"),
+    "m": _at_least_1,
+    "p": _at_least_1,
+    "mi": _at_least_1,
+    "tau": _finite_non_negative,
+    "ridge": _finite_non_negative,
+    "graph_r": _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "graph_seed": lambda text: _non_negative(text) if text else None,
+    "beta": _positive_finite,
+    "eta": _checked(_items(_positive_finite), len, "non-empty"),
+    "schedule": _schedule_spec,
+    "rounds": _non_negative,
+    "seeds": _checked(_items(_non_negative), len, "non-empty"),
+    "out": str,
+    "certificate": _boolean,
+    "compare": _items(_schedule_spec),
+}
 
 
 def _apply_key(cfg: dict, key: str, value: str, where: str):
     key = key.strip()
-    value = value.strip()
+    if key not in _PARSERS:
+        raise ConfigFileError(f"{where}: unknown key {key!r}")
     try:
-        if key == "problem":
-            if value not in PROBLEMS:
-                raise ConfigFileError(f"{where}: problem must be one of {PROBLEMS}, got {value!r}")
-            cfg[key] = value
-        elif key in ("n", "m", "p", "mi", "rounds"):
-            cfg[key] = int(value)
-        elif key in ("tau", "ridge", "graph_r", "beta"):
-            cfg[key] = float(value)
-        elif key == "graph_seed":
-            cfg[key] = int(value) if value else None
-        elif key == "eta":
-            cfg[key] = _parse_list(value, where, float)
-        elif key == "out":
-            cfg[key] = value
-        elif key == "schedule":
-            trigger.parse_schedule(value)  # validate early
-            cfg[key] = value
-        elif key == "seeds":
-            cfg[key] = _parse_list(value, where, int)
-        elif key == "certificate":
-            cfg[key] = _parse_bool(value, where)
-        elif key == "compare":
-            specs = tuple(s.strip() for s in value.split(",") if s.strip())
-            for s in specs:
-                trigger.parse_schedule(s)
-            cfg[key] = specs
-        else:
-            raise ConfigFileError(f"{where}: unknown key {key!r}")
-    except trigger.ScheduleError as err:
-        raise ConfigFileError(f"{where}: {err}") from None
-    except ValueError as err:
-        if isinstance(err, ConfigFileError):
-            raise
-        raise ConfigFileError(f"{where}: bad value for {key}: {value!r}") from None
-
-
-def _positive(value: float) -> bool:
-    return 0.0 < value < math.inf
+        cfg[key] = _PARSERS[key](value.strip())
+    except ValueError as err:  # a trigger.ScheduleError included
+        raise ConfigFileError(f"{where}: {key}: {err}") from None
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    problems = (
-        (cfg.n < 2, f"n must be >= 2, got {cfg.n}"),
-        (min(cfg.m, cfg.p, cfg.mi) < 1, f"m, p and mi must be >= 1, got {cfg.m, cfg.p, cfg.mi}"),
-        (not _positive(cfg.beta), f"beta must be positive and finite, got {cfg.beta}"),
-        (not cfg.eta or not all(map(_positive, cfg.eta)), "eta entries must be positive, finite"),
-        (len(cfg.eta) not in (1, cfg.n), f"eta list has {len(cfg.eta)} entries for n={cfg.n}"),
-        (not (0.0 <= cfg.tau < math.inf and 0.0 <= cfg.ridge < math.inf),
-         f"tau and ridge must be >= 0 and finite, got {cfg.tau}, {cfg.ridge}"),
-        (not 0.0 < cfg.graph_r <= 1.0, f"graph_r must be in (0, 1], got {cfg.graph_r}"),
-        (cfg.rounds is not None and cfg.rounds < 0, f"rounds must be >= 0, got {cfg.rounds}"),
-        (not cfg.seeds, "need at least one seed"),
-        (min(cfg.seeds, default=0) < 0 or (cfg.graph_seed or 0) < 0, "seeds must be >= 0"),
-    )
-    for failed, message in problems:
-        if failed:
-            raise ConfigFileError(message)
+    """The one check across keys: a weight per agent, or one for all."""
+    if len(cfg.eta) not in (1, cfg.n):
+        raise ConfigFileError(f"eta list has {len(cfg.eta)} entries for n={cfg.n}")
     return cfg
 
 
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Build a validated config from an optional file plus flag overrides.
 
-    The file is flat "key = value" text with '#' comments; unknown keys are
-    rejected with their line number. An empty file yields the defaults.
-    Every rejection, an unreadable file included, is a ConfigFileError.
+    The file is flat "key = value" text with '#' comments; an empty file
+    yields the defaults. Each file value, then each override's `str(value)`,
+    goes through its key's parser in `_PARSERS`: a rejection names its
+    "<path>:<line>" or "flag --x" and the key, and a file value is checked
+    even when an override replaces it. Every rejection, an unreadable file
+    included, is a ConfigFileError.
     """
     cfg: dict = {}
     if path is not None:
@@ -358,15 +356,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cache_dir = out_dir / "cache"
     run_dirs, diverged_runs, tables = [], [], {}
 
-    # canonical spec strings so the comparison baseline is always keyed "zero"
-    raw_specs = cfg.compare if cfg.compare else (cfg.schedule,)
-    schedule_specs = []
-    for raw in raw_specs:
-        canonical = trigger.parse_schedule(raw).spec_string()
-        if canonical not in schedule_specs:
-            schedule_specs.append(canonical)
-    if cfg.compare and "zero" not in schedule_specs:
-        schedule_specs.append("zero")
+    # each schedule, parsed once, under its canonical spec string so the
+    # comparison baseline is always keyed "zero"
+    schedules: dict = {}
+    for raw in cfg.compare or (cfg.schedule,):
+        schedule = trigger.parse_schedule(raw)
+        schedules.setdefault(schedule.spec_string(), schedule)
+    if cfg.compare:
+        schedules.setdefault("zero", trigger.TriggerSchedule("zero"))
 
     for seed in cfg.seeds:
         objective = build_instance(cfg, seed)
@@ -377,8 +374,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         seed_traces: dict = {}
         seed_series: dict = {}
 
-        for spec in schedule_specs:
-            schedule = trigger.parse_schedule(spec)
+        for spec, schedule in schedules.items():
             run_cfg = RunConfig(
                 graph=graph,
                 objective=objective,
@@ -429,16 +425,17 @@ def _certificate_block(trace: RunTrace, reference: ReferenceSolution,
         return f"certificate_skipped {err}\n"
 
 
-# Command-line flags: (flag, config key it overrides, argparse options).
+# Command-line flags: (flag, config key it overrides, argparse options). A
+# flag's value is parsed by its key's entry in `_PARSERS`, as a file line is.
 FLAGS = (
-    ("--problem", "problem", dict(choices=PROBLEMS)),
+    ("--problem", "problem", dict(help=f"one of {', '.join(PROBLEMS)}")),
     ("--schedule", "schedule", dict(help='e.g. "poly:20:1.2", "exp:1:0.99", "zero", "everyN:2"')),
-    ("--rounds", "rounds", dict(type=int)),
+    ("--rounds", "rounds", {}),
     ("--seed", "seeds", dict(help="comma-separated seed list")),
     ("--out", "out", dict(help="output directory")),
-    ("--beta", "beta", dict(type=float)),
+    ("--beta", "beta", {}),
     ("--eta", "eta", dict(help="scalar or comma-separated per-agent list")),
-    ("--graph-r", "graph_r", dict(type=float)),
+    ("--graph-r", "graph_r", {}),
     ("--certificate", "certificate",
      dict(action="store_true", default=None, help="emit the ergodic rate certificate")),
     ("--compare", "compare", dict(help="comma-separated schedule specs to compare")),

@@ -84,7 +84,8 @@ def generate_random_graph(n: int, r: float, seed: int) -> Graph:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
         pick = rng.choice(total, size=m_edges, replace=False)
         pick.sort()
-        g = Graph.from_edges(n, zip(iu[pick].tolist(), ju[pick].tolist()))
+        # sorted, unique and in range by construction: no per-edge checks
+        g = Graph(n, tuple(zip(iu[pick].tolist(), ju[pick].tolist())))
         if is_connected(g):
             return g
     raise GraphConfigError(

@@ -137,6 +137,27 @@ def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective
     return x_new, z_new
 
 
+def zero_schedule_rate(objective: CompositeObjective, graph, beta: float, eta) -> float:
+    """rho_0 = max_j rho(M_j), the rate of the always-broadcast iteration on a
+    diagonal quadratic instance. With E = diag(eta), D_j the agents'
+    curvatures in coordinate j, A = I - E^-1 (D_j + beta L) and U an
+    orthonormal basis of the complement of the consensus line (the dual
+    stays in it), coordinate j of (x, U^T z) steps by the affine map with
+    linear part M_j = [[A, -E^-1 U], [U^T beta L A, I - U^T beta L E^-1 U]]."""
+    n = graph.n
+    lap = beta * graph.laplacian
+    e_inv = 1.0 / np.broadcast_to(np.asarray(eta, dtype=np.float64), (n,))
+    basis = np.linalg.eigh(graph.laplacian)[1][:, 1:]  # drops eigenvalue 0, the consensus line
+    dual_in = -e_inv[:, None] * basis
+    rates = []
+    for d in objective.stack.diag.T:
+        a = np.eye(n) - e_inv[:, None] * (np.diag(d) + lap)
+        step = np.block([[a, dual_in],
+                         [basis.T @ lap @ a, np.eye(n - 1) + basis.T @ lap @ dual_in]])
+        rates.append(np.abs(np.linalg.eigvals(step)).max())
+    return float(max(rates))
+
+
 def drive_states(config: RunConfig) -> list:
     """The network states of rounds 0, 1, ..., config.rounds, driven one
     `run_round` call at a time; a diverging run stops at its last finite

@@ -107,6 +107,16 @@ class TestParseConfig:
         assert cfg.seeds == (4, 5)
         assert np.array_equal(cfg.eta_vector(3), [1.0, 2.0, 3.0])
 
+    def test_override_without_a_flag_named_by_its_key(self):
+        with pytest.raises(ConfigFileError, match="flag --tau: tau: "):
+            parse_config(overrides={"tau": "abc"})
+
+    def test_out_of_range_file_value_rejected_under_override(self, tmp_path):
+        path = tmp_path / "b.cfg"
+        path.write_text("beta = -1\n")
+        with pytest.raises(ConfigFileError, match=r"b\.cfg:1: beta: "):
+            parse_config(str(path), {"beta": "0.1"})
+
     def test_bad_schedule_spec_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("schedule = poly:oops:2\n")
@@ -385,14 +395,24 @@ class TestMain:
         cfg_path.write_text(line + "\n")
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
                      "--rounds", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if line != "eta = 1, 2":  # the one check across keys has no single line to name
+            key = line.split()[0]
+            assert f"bad.cfg:1: {key}: " in err
 
-    def test_rejected_flag_named_as_typed(self, tmp_path, capsys):
-        # --seed sets the `seeds` key; a key with no flag keeps its --key form
-        assert main(["--seed", "abc", "--out", str(tmp_path / "o")]) == 2
-        assert "error: flag --seed: " in capsys.readouterr().err
-        with pytest.raises(ConfigFileError, match="flag --tau: "):
-            parse_config(overrides={"tau": "abc"})
+    # --seed sets the `seeds` key. Each value goes through its key's parser,
+    # the one a file line goes through, not through argparse.
+    @pytest.mark.parametrize("flag_value", ["--problem foo", "--rounds abc", "--rounds 1.5",
+                                            "--beta abc", "--graph-r x", "--seed abc",
+                                            "--beta -1"])
+    def test_rejected_flag_named_as_typed(self, tmp_path, capsys, flag_value):
+        flag = flag_value.split()[0]
+        assert main([*flag_value.split(), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: flag {flag}: ")
+        assert "usage:" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_schedule_flag_exits_2(self, tmp_path, capsys):
         assert main(["--schedule", "poly:2^1e5:1", "--out", str(tmp_path / "o")]) == 2

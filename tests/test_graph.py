@@ -96,6 +96,7 @@ class TestGenerateRandomGraph:
         assert np.all(np.isin(lap[~np.eye(n, dtype=bool)], (0.0, -1.0)))  # simple, no loops
         assert len(g.edges) == target
         assert is_connected(g)
+        assert g == Graph.from_edges(n, g.edges)  # sorted, unique, in range
 
 
 class TestLaplacian:
@@ -242,6 +243,7 @@ class TestLaplacianQuadraticNorm:
         assert g.laplacian is lap
         assert not lap.flags.writeable
         assert np.array_equal(lap, Graph.from_edges(12, g.edges).laplacian)
+        assert g == Graph.from_edges(12, g.edges)
 
 
 class TestStepsizeChecks:
