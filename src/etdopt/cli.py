@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os.path
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -123,8 +124,11 @@ _PARSERS = {
     "eta": _checked(_items(_positive_finite), len, "non-empty"),
     "schedule": _schedule_spec,
     "rounds": _non_negative,
-    "seeds": _checked(_items(_non_negative), len, "non-empty"),
-    "out": str,
+    "seeds": _checked(_items(_non_negative), lambda v: 0 < len(v) == len(set(v)),
+                      "non-empty and distinct"),
+    # The sweep's directory, made if missing (normpath reads "file/" as "file").
+    "out": _checked(str, lambda v: v != "" and not os.path.isfile(os.path.normpath(v)),
+                    "non-empty and not an existing file"),
     "certificate": _boolean,
     "compare": _items(_schedule_spec),
 }
@@ -318,20 +322,10 @@ def compare_schedules(traces: dict, series: dict,
                 after_start & (s.objective_gap <= thr) & (s.consensus_error <= thr))
             row.append(int(cumulative[s.rounds[reached[0]], 0]) if reached.size else None)
         counts[spec] = row
-    baseline = counts.get("zero")
-    ratios = {}
-    for spec, row in counts.items():
-        spec_ratios = []
-        for i, count in enumerate(row):
-            base = baseline[i] if baseline is not None else None
-            spec_ratios.append(count / base if count is not None and base else None)
-        ratios[spec] = spec_ratios
-    return ComparisonTable(
-        thresholds=tuple(thresholds),
-        schedules=tuple(counts),
-        broadcasts=counts,
-        ratios=ratios,
-    )
+    baseline = counts.get("zero") or [None] * len(thresholds)
+    ratios = {spec: [count / base if count is not None and base else None
+                     for count, base in zip(row, baseline)] for spec, row in counts.items()}
+    return ComparisonTable(tuple(thresholds), tuple(counts), counts, ratios)
 
 
 class ExperimentResult(NamedTuple):
@@ -442,10 +436,18 @@ FLAGS = (
 )
 
 
+EPILOG = """\
+exit codes: 0 every run finished, 1 a run diverged, 2 config or output path rejected
+files under --out: <problem>_s<seed>_<schedule>/trace.csv and summary.txt per run,
+  cache/reference_*.txt per seed, and compare_*.txt per seed with --compare
+"""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="etdopt",
         description="Event-triggered decentralized optimization experiment harness.",
+        epilog=EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", help="flat key=value config file")
     dests = {parser.add_argument(flag, **options).dest: key for flag, key, options in FLAGS}

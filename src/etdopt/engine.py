@@ -18,6 +18,8 @@ Delivery is implicit: the state carries the coupling beta L x_tilde, the one
 term that reads other agents' copies. Only a round with a broadcast recomputes
 it; both steps add the carried array, bitwise equal to a fresh product.
 
+A round never raises on a non-finite value; `run` stops at the first round
+that yields one (`nonfinite_agent` names the agent) and keeps the last state.
 `run` keeps the starting point, each round's broadcast flags (the one record
 of who broadcast when), the stepsize margins found at validation, two
 running diagnostics (trigger slack, dual imbalance) and the final state; it
@@ -81,13 +83,6 @@ def stepsize_margin(eta, beta: float, graph: Graph, curvature) -> float:
     its sign is reliable down to roundoff in the matrix entries, so margins
     near zero are classified correctly."""
     return float(np.linalg.eigvalsh(np.diag(eta) - beta * graph.laplacian - np.diag(curvature))[0])
-
-
-class DivergenceError(RuntimeError):
-    def __init__(self, agent: int, round_: int):
-        super().__init__(f"non-finite iterate at agent {agent}, round {round_}")
-        self.agent = agent
-        self.round = round_
 
 
 @dataclass
@@ -211,23 +206,28 @@ def dual_step(z, coupling):
     return z + coupling
 
 
-def _check_finite(arr: np.ndarray, round_: int):
-    # One BLAS dot is finite whenever the stack is, bar squares that overflow.
-    flat = arr.ravel()
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(arr).all():
-        bad = ~np.all(np.isfinite(arr), axis=1)
-        raise DivergenceError(int(np.argmax(bad)), round_)
+def nonfinite_agent(state: NetworkState) -> Optional[int]:
+    """The first row of `state.x` holding a non-finite entry, failing that
+    the first such row of `state.z`, else None. Its dot may overflow: callers
+    outside `run`'s loop set `np.errstate` themselves."""
+    for arr in (state.x, state.z):
+        # One BLAS dot is finite whenever the stack is, bar squares that overflow.
+        flat = arr.ravel()
+        if not math.isfinite(flat.dot(flat)) and not np.isfinite(arr).all():
+            return int(np.argmax(~np.isfinite(arr).all(axis=1)))
+    return None
 
 
 def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
     """Advance the whole network by one synchronous round: every agent's
     primal step from round-k data, every agent's trigger decision and
-    broadcast, then every agent's dual step on the delivered copies."""
+    broadcast, then every agent's dual step on the delivered copies. It
+    never raises on non-finite values; they pass into the returned state,
+    where `nonfinite_agent` finds them."""
     k = state.round + 1
-    # Overflow is not an error here; it surfaces as a divergence below.
+    # Overflow is not an error here; it surfaces in the returned state.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         x = primal_step(config.objective, state.x, state.z, state.coupling, config.eta)
-        _check_finite(x, k)
 
         fired, slack = trig.broadcasts(config.schedule, k, x, state.x_tilde)
         if fired.any():
@@ -237,7 +237,6 @@ def run_round(state: NetworkState, config: RunConfig) -> NetworkState:
             x_tilde, coupling = state.x_tilde, state.coupling
 
         z = dual_step(state.z, coupling)
-        _check_finite(z, k)
     return NetworkState(x=_frozen(x), z=_frozen(z), x_tilde=x_tilde, coupling=coupling,
                         fired=_frozen(fired), round=k,
                         trigger_slack=None if slack is None else _frozen(slack))
@@ -260,21 +259,19 @@ class RunTrace(NamedTuple):
     the run ends.
 
     `broadcast_flags` is a (rounds+1, n) 0/1 matrix, row k flagging round
-    k's broadcasters; rows past `completed_rounds` stay zero.
-    `diverged_round` and `diverged_agent` locate the first non-finite
-    iterate (None if the run finished). `max_trigger_slack` is the worst
-    observed deviation-minus-threshold (must stay <= 0 for event rules;
-    None for the periodic scheme) and `max_dual_imbalance` the worst
-    |sum_i z_i| relative to n * ||z||_inf. `stepsize_margin` and
-    `strong_convexity_margin` are the two margins `RunConfig.validate`
-    returned.
+    k's broadcasters; rows past `completed_rounds` stay zero. Round
+    `diverged_round`, the one after `final_state`, is the first non-finite
+    one and `diverged_agent` the agent `nonfinite_agent` named in it (both
+    None if the run finished). `max_trigger_slack` is the worst observed
+    deviation-minus-threshold (must stay <= 0 for event rules; None for the
+    periodic scheme) and `max_dual_imbalance` the worst |sum_i z_i| relative
+    to n * ||z||_inf. `stepsize_margin` and `strong_convexity_margin` are
+    the two margins `RunConfig.validate` returned.
     """
 
     config: RunConfig
     x0: np.ndarray
     broadcast_flags: np.ndarray
-    completed_rounds: int
-    diverged_round: Optional[int]
     diverged_agent: Optional[int]
     max_trigger_slack: Optional[float]
     max_dual_imbalance: float
@@ -285,7 +282,15 @@ class RunTrace(NamedTuple):
 
     @property
     def diverged(self) -> bool:
-        return self.diverged_round is not None
+        return self.diverged_agent is not None
+
+    @property
+    def completed_rounds(self) -> int:
+        return self.final_state.round
+
+    @property
+    def diverged_round(self) -> Optional[int]:
+        return self.final_state.round + 1 if self.diverged else None
 
     @property
     def records(self) -> list:
@@ -313,9 +318,9 @@ def run(config: RunConfig,
 
     `observe`, when given, is called with the state of round 0 and then with
     each completed round's state, in order, before the next round starts.
-    Divergence does not raise: the returned trace is flagged and holds the
-    rounds completed before the non-finite iterate appeared. The loop,
-    `observe` included, runs with numpy's overflow and invalid warnings off.
+    Divergence does not raise: the run stops at the first round whose state
+    holds a non-finite value, and the trace is flagged and holds the rounds
+    before it. The loop, `observe` included, ignores overflow and invalid.
     """
     margin, strong_margin = config.validate()
     n = config.n
@@ -330,16 +335,16 @@ def run(config: RunConfig,
         observe(state)
     slack = -np.inf if event_rule else None
     imbalance = 0.0
-    diverged_round = diverged_agent = None
+    diverged_agent = None
 
     # A finite dual stack's column sums can overflow; the imbalance is then inf.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.rounds + 1):
-            try:
-                state = run_round(state, config)
-            except DivergenceError as err:
-                diverged_round, diverged_agent = err.round, err.agent
+            new = run_round(state, config)
+            diverged_agent = nonfinite_agent(new)
+            if diverged_agent is not None:
                 break
+            state = new
             if event_rule:
                 slack = max(slack, float(state.trigger_slack.max()))
             z = state.z
@@ -351,8 +356,7 @@ def run(config: RunConfig,
             if observe is not None:
                 observe(state)
 
-    return RunTrace(config=config, x0=x0, broadcast_flags=flags, completed_rounds=state.round,
-                    diverged_round=diverged_round, diverged_agent=diverged_agent,
+    return RunTrace(config=config, x0=x0, broadcast_flags=flags, diverged_agent=diverged_agent,
                     max_trigger_slack=slack, max_dual_imbalance=imbalance, final_state=state,
                     elapsed_seconds=time.perf_counter() - started, stepsize_margin=margin,
                     strong_convexity_margin=strong_margin)

@@ -160,10 +160,6 @@ class DiagonalQuadraticLoss:
 
     def value(self, theta) -> float:
         d = theta - self.center
-        # Two summation orders: one agent's dot product gives f* its bits, and
-        # a stack's elementwise sum gives the recorded objective gaps theirs.
-        if d.ndim == 1:
-            return 0.5 * float(d @ (self.diag * d))
         return 0.5 * float((self.diag * d * d).sum())
 
     def gradient(self, theta) -> np.ndarray:
@@ -234,11 +230,6 @@ class CompositeObjective:
 
     def strong_convexity(self) -> np.ndarray:
         return np.full(self.n, self.stack.strong_convexity)
-
-    def centralized_value(self, theta: np.ndarray) -> float:
-        """Total objective at one shared decision vector."""
-        l1 = float(np.sum(np.abs(theta)))
-        return sum(f.value(theta) + t * l1 for f, t in zip(self.smooth, self.tau.tolist()))
 
     def stacked_value(self, x: np.ndarray) -> float:
         """Total objective with agent i evaluated at row i of x."""

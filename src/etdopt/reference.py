@@ -2,10 +2,12 @@
 
 Provides the minimizer and optimal value used by the metrics as a baseline,
 a first-order optimality (KKT) residual for network states, and the text
-form in which the harness writes a solve out (nothing reads it back). The
-solve works on the summed objective: the objective's stack pooled into one
-loss of the same family (all agents' rows or samples, or for quadratics the
-curvature-weighted center) and the per-agent l1 weights summed. It runs
+form in which the harness writes a solve out (nothing reads it back). f* is
+`stacked_value`, the evaluation behind every recorded gap, at the minimizer
+replicated on every agent: a run sitting there records a gap of exactly 0.
+The solve works on the summed objective: the objective's stack pooled into
+one loss of the same family (all agents' rows or samples, or for quadratics
+the curvature-weighted center) and the per-agent l1 weights summed. It runs
 accelerated proximal gradient (FISTA, Beck & Teboulle 2009) with
 gradient-based adaptive restart (O'Donoghue & Candes 2015). Its step is 1/L
 for L the pooled loss's own gradient Lipschitz bound (lambda_max(A^T A) for
@@ -59,8 +61,8 @@ def solve_centralized(
     smooth = objective.stack.pooled()
 
     def solution(x, residual, iterations):
-        return ReferenceSolution(x, objective.centralized_value(x), residual, iterations,
-                                 residual <= tol, tol)
+        f_star = objective.stacked_value(np.tile(x, (objective.n, 1)))
+        return ReferenceSolution(x, f_star, residual, iterations, residual <= tol, tol)
 
     if isinstance(smooth, DiagonalQuadraticLoss) and not objective.has_l1:
         return solution(smooth.center, float(np.linalg.norm(smooth.gradient(smooth.center))), 0)

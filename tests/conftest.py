@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from etdopt.engine import (
-    DivergenceError,
     RunConfig,
     initial_state,
+    nonfinite_agent,
     run,
     run_round,
     suggested_stepsizes,
@@ -161,15 +161,14 @@ def zero_schedule_rate(objective: CompositeObjective, graph, beta: float, eta) -
 def drive_states(config: RunConfig) -> list:
     """The network states of rounds 0, 1, ..., config.rounds, driven one
     `run_round` call at a time; a diverging run stops at its last finite
-    round."""
-    state = initial_state(config)
-    states = [state]
-    for _ in range(config.rounds):
-        try:
-            state = run_round(state, config)
-        except DivergenceError:
-            break
-        states.append(state)
+    round, as `run` does."""
+    states = [initial_state(config)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.rounds):
+            state = run_round(states[-1], config)
+            if nonfinite_agent(state) is not None:
+                break
+            states.append(state)
     return states
 
 

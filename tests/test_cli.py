@@ -389,7 +389,8 @@ class TestMain:
         assert main(["--beta", "-3", "--out", str(tmp_path / "x")]) == 2
 
     @pytest.mark.parametrize("line", ["n = -5", "m = 0", "p = 0", "mi = 0", "eta = nan",
-                                      "beta = inf", "eta = 1, 2", "seeds = -1"])
+                                      "beta = inf", "eta = 1, 2", "seeds = -1",
+                                      "seeds = 1, 1", "out ="])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(line + "\n")
@@ -405,7 +406,7 @@ class TestMain:
     # the one a file line goes through, not through argparse.
     @pytest.mark.parametrize("flag_value", ["--problem foo", "--rounds abc", "--rounds 1.5",
                                             "--beta abc", "--graph-r x", "--seed abc",
-                                            "--beta -1"])
+                                            "--beta -1", "--seed 1,1"])
     def test_rejected_flag_named_as_typed(self, tmp_path, capsys, flag_value):
         flag = flag_value.split()[0]
         assert main([*flag_value.split(), "--out", str(tmp_path / "o")]) == 2
@@ -413,6 +414,16 @@ class TestMain:
         assert err.startswith(f"error: flag {flag}: ")
         assert "usage:" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["", "taken", "taken/"])
+    def test_out_naming_no_directory_exits_2(self, tmp_path, capsys, monkeypatch, out):
+        # "" would put the sweep in the working directory; a file cannot hold one.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["--problem", "quadratic", "--rounds", "1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: flag --out: ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_overflowing_schedule_flag_exits_2(self, tmp_path, capsys):
         assert main(["--schedule", "poly:2^1e5:1", "--out", str(tmp_path / "o")]) == 2
@@ -453,6 +464,16 @@ class TestMain:
         assert main(["--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_help_lists_exit_codes_and_output_files(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for text in ("0 every run finished", "1 a run diverged",
+                     "2 config or output path rejected", "/trace.csv", "summary.txt",
+                     "cache/reference_*.txt", "compare_*.txt"):
+            assert text in out
 
     def test_module_entry_point_runs_without_runpy_warning(self):
         src = Path(__file__).resolve().parent.parent / "src"

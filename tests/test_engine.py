@@ -15,10 +15,10 @@ from conftest import (
 )
 from etdopt.engine import (
     ConfigError,
-    DivergenceError,
     RunConfig,
     dual_step,
     initial_state,
+    nonfinite_agent,
     primal_step,
     run,
     run_round,
@@ -339,21 +339,43 @@ class TestRun:
         cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero",
                                    enforce_stepsize=False)
         cfg.eta = np.full(6, 1e-3)  # badly undersized weights blow up
-        state = initial_state(cfg)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
-            for _ in range(cfg.rounds):
-                state = run_round(state, cfg)
-        assert (err.value.round, err.value.agent) == (88, 0)
+        state = drive_states(cfg)[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            failed = run_round(state, cfg)
+            assert (failed.round, nonfinite_agent(failed)) == (88, 0)
         with pytest.warns(UserWarning):
             trace = run(cfg)
         assert trace.diverged
         assert (trace.diverged_round, trace.diverged_agent) == (88, 0)
-        assert trace.completed_rounds == trace.final_state.round == 87
+        assert trace.completed_rounds == trace.final_state.round == state.round == 87
+        assert trace.diverged_round == trace.completed_rounds + 1 == 88
         assert np.array_equal(state_primal(trace.final_state), state_primal(state))
         assert np.array_equal(state_dual(trace.final_state), state_dual(state))
         assert not trace.broadcast_flags[88:].any()
         with pytest.raises(AttributeError):
             trace.diverged_round = None
+
+    def test_round_on_nan_row_returns_and_names_x_before_z(self):
+        cfg = lasso_run_config(n=5, rounds=1)
+        state = initial_state(cfg)
+        assert nonfinite_agent(state) is None
+        x = state.x.copy()
+        x[3, 0] = np.nan
+        z = np.zeros_like(x)
+        z[1, 2] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            after = run_round(state._replace(x=x), cfg)
+            assert after.round == 1
+            assert nonfinite_agent(after) == 3
+            assert nonfinite_agent(after._replace(z=z)) == 3
+            assert nonfinite_agent(after._replace(x=state.x, z=z)) == 1
+
+    def test_finite_entries_whose_squares_overflow_are_finite(self):
+        state = initial_state(lasso_run_config(n=4))
+        big = np.full(state.x.shape, 1e160)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.ravel() @ big.ravel())
+            assert nonfinite_agent(state._replace(x=big, z=-big)) is None
 
     def test_trigger_bound_holds_every_round(self):
         for schedule in ("poly:2:1.3", "exp:1:0.92", "zero"):

@@ -404,12 +404,6 @@ class TestCompositeObjective:
         with pytest.raises(ValueError):
             CompositeObjective([CubicLoss(2)], [0.0])
 
-    def test_stacked_vs_centralized_value(self):
-        obj, _ = make_lasso_instance(3, 2, 4, 0.2, seed=1)
-        theta = np.full(4, 0.3)
-        stacked = np.tile(theta, (3, 1))
-        assert obj.stacked_value(stacked) == pytest.approx(obj.centralized_value(theta))
-
 
 class TestSerialization:
     """`instance_hash` digests the loss class, (n, m), the l1 weights and the

@@ -122,7 +122,7 @@ def configs(draw):
             POSITIVE, min_size=n, max_size=n))),
         schedule=draw(SPECS),
         rounds=draw(st.none() | st.integers(0, 10**5)),
-        seeds=tuple(draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4))),
+        seeds=tuple(draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4, unique=True))),
         out=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
         certificate=draw(st.booleans()),
         compare=tuple(draw(st.lists(SPECS, max_size=3))),

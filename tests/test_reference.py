@@ -94,6 +94,15 @@ class TestSolveCentralized:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_logistic_instance(20, 8, 10, seed=1)[0],
+        lambda: make_quadratic_instance(20, 10, seed=2),
+    ], ids=["logistic", "quadratic"])
+    def test_gap_at_replicated_minimizer_is_exactly_zero(self, build):
+        obj = build()
+        sol = solve_centralized(obj)
+        assert obj.stacked_value(np.tile(sol.x_star, (obj.n, 1))) - sol.f_star == 0.0
+
     def test_certified_residual_meets_tolerance(self):
         obj, _ = make_lasso_instance(n=5, p=3, m=8, tau=0.1, seed=7)
         sol = solve_centralized(obj, tol=1e-10)
