@@ -103,6 +103,16 @@ def _schedule_spec(text: str) -> str:
     return text
 
 
+def _under_directory(path: str) -> bool:
+    """Whether the first path that exists, walking up from the sweep's
+    directory `path`, is a directory, under which `mkdir` can make the rest
+    (normpath reads "file/" as "file")."""
+    path = os.path.normpath(path)
+    while not os.path.lexists(path) and path != os.path.dirname(path):  # stops at a root
+        path = os.path.dirname(path) or os.curdir
+    return os.path.isdir(path)
+
+
 _at_least_1 = _checked(int, lambda v: v >= 1, ">= 1")
 _non_negative = _checked(int, lambda v: v >= 0, ">= 0")
 _finite_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, ">= 0 and finite")
@@ -126,9 +136,8 @@ _PARSERS = {
     "rounds": _non_negative,
     "seeds": _checked(_items(_non_negative), lambda v: 0 < len(v) == len(set(v)),
                       "non-empty and distinct"),
-    # The sweep's directory, made if missing (normpath reads "file/" as "file").
-    "out": _checked(str, lambda v: v != "" and not os.path.isfile(os.path.normpath(v)),
-                    "non-empty and not an existing file"),
+    "out": _checked(str, lambda v: v != "" and _under_directory(v),
+                    "non-empty, with a directory as its first existing path"),
     "certificate": _boolean,
     "compare": _items(_schedule_spec),
 }
@@ -377,9 +386,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 eta=cfg.eta_vector(cfg.n),
                 rounds=cfg.effective_rounds(),
                 seed=seed,
-                # Hand-tuned stepsizes can violate the sufficient condition and
-                # still converge, so the margin is reported, not enforced.
-                enforce_stepsize=False,
             )
             recorder = metrics.ErgodicRecorder(objective, graph.laplacian, reference.f_star,
                                                reference.x_star)

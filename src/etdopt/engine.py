@@ -97,7 +97,6 @@ class RunConfig:
     rounds: int
     seed: int = 0
     x0: Optional[np.ndarray] = None
-    enforce_stepsize: bool = True
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=np.float64)
@@ -114,11 +113,14 @@ class RunConfig:
         return self.objective.m
 
     def validate(self):
-        """Check shapes, positivity and the stepsize condition. Returns the two
-        `stepsize_margin`s: over diag(L_f), which must be positive (else a
-        ConfigError, or a warning when `enforce_stepsize` is off), and, where
-        every modulus mu_i > 0, over diag(L_f**2) / k1 with k1 = min mu, the
-        midpoint of its interval (0, 2 min mu); else None."""
+        """Check shapes, positivity, finiteness and connectivity (a
+        ConfigError), and report the stepsize condition. Returns the two
+        `stepsize_margin`s: over diag(L_f), and, where every modulus
+        mu_i > 0, over diag(L_f**2) / k1 with k1 = min mu, the midpoint of its
+        interval (0, 2 min mu); else None. The condition is sufficient, not
+        necessary: hand-tuned stepsizes can violate it and still converge, so
+        a non-positive first margin is reported and warned about, never
+        raised."""
         g, obj = self.graph, self.objective
         if g.n != obj.n:
             raise ConfigError(f"graph has {g.n} nodes but objective has {obj.n} agents")
@@ -135,10 +137,7 @@ class RunConfig:
         lf = obj.lipschitz()
         margin = stepsize_margin(self.eta, self.beta, g, lf)
         if not margin > 0.0:
-            msg = f"stepsize condition violated (margin {margin:.3e})"
-            if self.enforce_stepsize:
-                raise ConfigError(msg)
-            warnings.warn(msg, stacklevel=2)
+            warnings.warn(f"stepsize condition violated (margin {margin:.3e})", stacklevel=2)
         mu = obj.strong_convexity()
         if np.any(mu <= 0.0):
             return margin, None

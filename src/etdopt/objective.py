@@ -1,12 +1,16 @@
 """Per-agent composite objectives, evaluated on stacked arrays.
 
 Each agent holds a smooth loss (value, gradient, curvature constants) plus an
-l1 weight. All agents share one loss family and one array shape, so
-`CompositeObjective` stacks the losses once into one loss of the same class,
-whose methods run the one-agent matmul code on a leading agent axis; the
-weights form one vector whose prox is a soft threshold. Instance generators
-build the benchmark problems: sparse least squares, logistic regression, and
-a separable quadratic with a closed-form minimizer. `instance_hash` names an instance in outputs.
+l1 weight. There are three loss families: least squares, logistic and
+diagonal quadratic; a least-squares loss with no rows is the zero smooth part
+of a regularizer-only agent. All agents share one family and one array
+shape, so `CompositeObjective` stacks the losses once, through the family's
+own constructor, into one loss of the same class whose methods run the
+one-agent matmul code on a leading agent axis; the weights form one vector
+whose prox is a soft threshold. Instance generators build the benchmark
+problems: sparse least squares, logistic regression, and a separable
+quadratic with a closed-form minimizer. `instance_hash` names an instance in
+outputs.
 """
 
 from __future__ import annotations
@@ -34,25 +38,6 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
-class ZeroSmooth:
-    """Identically-zero smooth part of dimension m, for one agent or a stack."""
-
-    lipschitz = 0.0
-    strong_convexity = 0.0
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def value(self, theta) -> float:
-        return 0.0
-
-    def gradient(self, theta) -> np.ndarray:
-        return np.zeros(np.shape(theta))
-
-    def pooled(self) -> ZeroSmooth:
-        return ZeroSmooth(self.m)
-
-
 def _top_gram_eigenvalue(a: np.ndarray):
     """lambda_max(A^T A) of each (p, m) matrix in a, on the smaller Gram side."""
     at = a.swapaxes(-1, -2)
@@ -61,17 +46,18 @@ def _top_gram_eigenvalue(a: np.ndarray):
 
 
 class LeastSquaresLoss:
-    """0.5 * ||b - A theta||^2 for A (p, m) and b (p,); a stack holds
-    A (n, p, m) and b (n, p), and sums the n losses at theta (n, m)."""
+    """0.5 * ||b - A theta||^2 for A (..., p, m) and b (..., p), any leading
+    axes being agents: a stack holds A (n, p, m) and b (n, p), and sums the n
+    losses at theta (n, m). With p = 0 rows it is the zero smooth part."""
 
     strong_convexity = 0.0
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = np.asarray(a, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        if self.a.ndim != 2 or self.b.shape != (self.a.shape[0],):
-            raise ValueError("need A of shape (p, m) and b of shape (p,)")
-        self.m = self.a.shape[1]
+        if self.a.ndim < 2 or self.b.shape != self.a.shape[:-1]:
+            raise ValueError("need A of shape (..., p, m) and b of shape (..., p)")
+        self.m = self.a.shape[-1]
 
     @cached_property
     def lipschitz(self):
@@ -95,19 +81,20 @@ class LeastSquaresLoss:
 class LogisticLoss:
     """Sum of ln(1 + exp(-y <x_j, theta>)) over local samples, with an
     optional ridge term (ridge/2)*||theta||^2 supplying strong convexity.
-    A stack holds features (n, s, m), labels (n, s) and ridge (n,)."""
+    Any leading axes are agents: a stack holds features (n, s, m), labels
+    (n, s) and ridge (n,)."""
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float = 0.0):
+    def __init__(self, features: np.ndarray, labels: np.ndarray, ridge=0.0):
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise ValueError("need features (s, m) and labels (s,)")
+        self.ridge = np.asarray(ridge, dtype=np.float64)
+        if self.features.ndim < 2 or self.labels.shape != self.features.shape[:-1]:
+            raise ValueError("need features (..., s, m) and labels (..., s)")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +/-1")
-        if not ridge >= 0.0:
+        if not np.all(self.ridge >= 0.0):
             raise ValueError(f"ridge must be >= 0, got {ridge}")
-        self.ridge = np.float64(ridge)
-        self.m = self.features.shape[1]
+        self.m = self.features.shape[-1]
 
     @cached_property
     def lipschitz(self):
@@ -138,17 +125,18 @@ class LogisticLoss:
 
 
 class DiagonalQuadraticLoss:
-    """0.5 * (theta - c)^T diag(d) (theta - c) with d > 0; a stack holds
-    d (n, m) and c (n, m)."""
+    """0.5 * (theta - c)^T diag(d) (theta - c) with d > 0 for d (..., m) and
+    c (..., m), any leading axes being agents: a stack holds d (n, m) and
+    c (n, m)."""
 
     def __init__(self, diag: np.ndarray, center: np.ndarray):
         self.diag = np.asarray(diag, dtype=np.float64)
         self.center = np.asarray(center, dtype=np.float64)
-        if self.diag.shape != self.center.shape or self.diag.ndim != 1:
-            raise ValueError("diag and center must be 1-D with matching shape")
+        if self.diag.shape != self.center.shape or self.diag.ndim < 1:
+            raise ValueError("diag and center must match in shape, with m the last axis")
         if not np.all(self.diag > 0):
             raise ValueError("diagonal curvature must be positive")
-        self.m = self.diag.shape[0]
+        self.m = self.diag.shape[-1]
 
     @property
     def lipschitz(self):
@@ -173,10 +161,10 @@ class DiagonalQuadraticLoss:
             total, np.sum(diag * self.center.reshape(-1, self.m), axis=0) / total)
 
 
-# Each loss family's arrays, in the order `instance_hash` digests them. The
-# family's stack holds each one stacked along a new leading agent axis.
+# Each loss family's arrays, in its constructor's order, which is also the
+# order `instance_hash` digests them. The family's stack holds each one
+# stacked along a new leading agent axis.
 _ARRAYS = {
-    ZeroSmooth: (),
     LeastSquaresLoss: ("a", "b"),
     LogisticLoss: ("features", "labels", "ridge"),
     DiagonalQuadraticLoss: ("diag", "center"),
@@ -186,13 +174,14 @@ _ARRAYS = {
 class CompositeObjective:
     """n agents' smooth losses `smooth` plus their l1 weights `tau`.
 
-    The losses share one class, one dimension and one array shape. They stay
-    readable one by one in `smooth`, but the stacked methods never loop over
-    agents: at construction the losses become `stack`, one loss of the same
-    class holding (n, ...) arrays, whose methods run the same code as one
-    agent's on a leading agent axis. Its curvature constants are per-agent
-    vectors (or one scalar for all), computed once; the prox is a single soft
-    threshold (the identity, and the value has no l1 term, if not `has_l1`).
+    The losses share one of the three families, one dimension and one array
+    shape. They stay readable one by one in `smooth`, but the stacked methods
+    never loop over agents: at construction the family's constructor, which
+    validates its arrays, builds `stack` from their (n, ...) stacks, one loss
+    whose methods run the same code as one agent's on a leading agent axis.
+    Its curvature constants are per-agent vectors (or one scalar for all),
+    computed once; the prox is a single soft threshold (the identity, and the
+    value has no l1 term, if not `has_l1`).
     """
 
     def __init__(self, smooth, tau):
@@ -210,12 +199,9 @@ class CompositeObjective:
         if cls not in _ARRAYS or any(type(f) is not cls for f in self.smooth):
             names = sorted({type(f).__name__ for f in self.smooth})
             raise ValueError(f"need losses of one class with a stacked form, got {names}")
-        # Built without __init__, which validates one agent's arrays; np.stack
-        # raises ValueError when the agents' shapes differ.
-        self.stack = cls.__new__(cls)
-        self.stack.m = self.m
-        for name in _ARRAYS[cls]:
-            setattr(self.stack, name, np.stack([getattr(f, name) for f in self.smooth]))
+        # np.stack raises ValueError when the agents' shapes differ.
+        self.stack = cls(*(np.stack([getattr(f, name) for f in self.smooth])
+                           for name in _ARRAYS[cls]))
 
     @property
     def n(self) -> int:

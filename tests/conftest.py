@@ -16,13 +16,18 @@ from etdopt.graph import generate_random_graph
 from etdopt.metrics import ErgodicRecorder
 from etdopt.objective import (
     CompositeObjective,
-    ZeroSmooth,
+    LeastSquaresLoss,
     make_lasso_instance,
     make_logistic_instance,
     make_quadratic_instance,
     soft_threshold,
 )
 from etdopt.trigger import parse_schedule
+
+
+def zero_loss(m):
+    """The zero smooth part on dimension m: a least-squares loss with no rows."""
+    return LeastSquaresLoss(np.zeros((0, m)), np.zeros(0))
 
 
 def lasso_run_config(n=10, p=3, m=5, tau=0.1, seed=1, schedule="zero", rounds=100,
@@ -79,7 +84,7 @@ def logistic_run_config(n=10, m_i=8, m=10, seed=1, ridge=0.1, schedule="zero",
 def pure_l1_run_config(n=8, m=4, tau=0.3, seed=2, schedule="zero", rounds=100,
                        graph_r=0.5, x0_scale=1.0, **kwargs):
     """All-zero smooth parts: a regularizer-only objective."""
-    objective = CompositeObjective([ZeroSmooth(m) for _ in range(n)], np.full(n, tau))
+    objective = CompositeObjective([zero_loss(m) for _ in range(n)], np.full(n, tau))
     graph = generate_random_graph(n, graph_r, seed)
     rng = np.random.default_rng(seed)
     x0 = x0_scale * rng.standard_normal((n, m))
@@ -100,7 +105,7 @@ def pure_l1_run_config(n=8, m=4, tau=0.3, seed=2, schedule="zero", rounds=100,
 def consensus_run_config(n=12, m=3, seed=3, schedule="zero", rounds=200, graph_r=0.4,
                          **kwargs):
     """No objective at all: pure averaging dynamics with unit weights."""
-    objective = CompositeObjective([ZeroSmooth(m) for _ in range(n)], np.zeros(n))
+    objective = CompositeObjective([zero_loss(m) for _ in range(n)], np.zeros(n))
     graph = generate_random_graph(n, graph_r, seed)
     _, beta = suggested_stepsizes(graph, objective)
     rng = np.random.default_rng(seed)
@@ -137,25 +142,32 @@ def matrix_lalm_step(x: np.ndarray, z: np.ndarray, objective: CompositeObjective
     return x_new, z_new
 
 
-def zero_schedule_rate(objective: CompositeObjective, graph, beta: float, eta) -> float:
-    """rho_0 = max_j rho(M_j), the rate of the always-broadcast iteration on a
-    diagonal quadratic instance. With E = diag(eta), D_j the agents'
-    curvatures in coordinate j, A = I - E^-1 (D_j + beta L) and U an
-    orthonormal basis of the complement of the consensus line (the dual
-    stays in it), coordinate j of (x, U^T z) steps by the affine map with
-    linear part M_j = [[A, -E^-1 U], [U^T beta L A, I - U^T beta L E^-1 U]]."""
+def periodic_rate(objective: CompositeObjective, graph, beta: float, eta, period: int) -> float:
+    """rho(P)^(1/N), the per-round rate of the `everyN:N` iteration on a
+    diagonal quadratic instance, N = `period`. With E = diag(eta), D_j the
+    agents' curvatures in coordinate j and U an orthonormal basis of the
+    complement of the consensus line (the dual stays in it), coordinate j of
+    the state (x, U^T z, x_tilde) steps by an affine map: `quiet` in a round
+    without broadcasts, `fire` in one where every agent broadcasts. P is the
+    period's product, N - 1 quiet maps then one fire map, and the rate is
+    the largest over coordinates. For N = 1 it is the always-broadcast rate
+    rho_0 of the `zero` schedule."""
     n = graph.n
     lap = beta * graph.laplacian
     e_inv = 1.0 / np.broadcast_to(np.asarray(eta, dtype=np.float64), (n,))
     basis = np.linalg.eigh(graph.laplacian)[1][:, 1:]  # drops eigenvalue 0, the consensus line
-    dual_in = -e_inv[:, None] * basis
+    size = 3 * n - 1
+    dual = np.eye(n - 1, size, n)  # selects U^T z from the state
+    copy = np.eye(n, size, 2 * n - 1)  # selects x_tilde
     rates = []
     for d in objective.stack.diag.T:
-        a = np.eye(n) - e_inv[:, None] * (np.diag(d) + lap)
-        step = np.block([[a, dual_in],
-                         [basis.T @ lap @ a, np.eye(n - 1) + basis.T @ lap @ dual_in]])
-        rates.append(np.abs(np.linalg.eigvals(step)).max())
-    return float(max(rates))
+        primal = np.hstack([np.diag(1.0 - e_inv * d), -e_inv[:, None] * basis,
+                            -e_inv[:, None] * lap])
+        quiet = np.vstack([primal, dual + basis.T @ lap @ copy, copy])
+        fire = np.vstack([primal, dual + basis.T @ lap @ primal, primal])
+        period_map = fire @ np.linalg.matrix_power(quiet, period - 1)
+        rates.append(np.abs(np.linalg.eigvals(period_map)).max())
+    return float(max(rates)) ** (1.0 / period)
 
 
 def drive_states(config: RunConfig) -> list:

@@ -415,9 +415,10 @@ class TestMain:
         assert "usage:" not in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("out", ["", "taken", "taken/"])
+    @pytest.mark.parametrize("out", ["", "taken", "taken/", "taken/sub", "taken/sub/deeper"])
     def test_out_naming_no_directory_exits_2(self, tmp_path, capsys, monkeypatch, out):
-        # "" would put the sweep in the working directory; a file cannot hold one.
+        # "" would put the sweep in the working directory; a file cannot hold
+        # one, itself or below it.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("")
         assert main(["--problem", "quadratic", "--rounds", "1", "--out", out]) == 2

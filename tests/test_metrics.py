@@ -10,9 +10,10 @@ from conftest import (
     drive_states,
     lasso_run_config,
     logistic_run_config,
+    periodic_rate,
     quadratic_run_config,
     run_with_series,
-    zero_schedule_rate,
+    zero_loss,
 )
 from etdopt import metrics
 from etdopt.cli import write_trace_csv
@@ -27,7 +28,6 @@ from etdopt.metrics import (
 from etdopt.objective import (
     CompositeObjective,
     LeastSquaresLoss,
-    ZeroSmooth,
     make_quadratic_instance,
 )
 from etdopt.reference import dual_from_reference, solve_centralized
@@ -35,7 +35,7 @@ from etdopt.trigger import parse_schedule, threshold
 
 
 def zero_objective(n, m):
-    return CompositeObjective([ZeroSmooth(m) for _ in range(n)], np.zeros(n))
+    return CompositeObjective([zero_loss(m) for _ in range(n)], np.zeros(n))
 
 
 def recorded(snapshots, objective=None, lap=None, f_star=0.0, x_star=None):
@@ -141,8 +141,7 @@ class TestStreamedSeries:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_ends_in_sentinel_row(self, tmp_path):
-        cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero",
-                                   enforce_stepsize=False)
+        cfg = quadratic_run_config(n=6, m=2, seed=3, rounds=500, schedule="zero")
         cfg.eta = np.full(6, 1e-3)  # badly undersized weights blow up
         x_star = cfg.objective.stack.pooled().center
         f_star = cfg.objective.stacked_value(np.tile(x_star, (6, 1)))
@@ -326,7 +325,6 @@ class TestErgodicRateCertificate:
 
     def test_nonpositive_stepsize_margin_rejected(self):
         cfg, _, reference, _ = self.make_run(rounds=5)
-        cfg.enforce_stepsize = False
         cfg.eta = cfg.eta / 4.0
         with pytest.warns(UserWarning):
             trace, series = run_with_series(cfg, reference.f_star, reference.x_star)
@@ -429,18 +427,36 @@ class TestLinearRateUnderStrongConvexity:
         assert fit.slope < 0.0
         assert fit.r_squared >= self.R_SQUARED_FLOOR
 
+    @staticmethod
+    def fitted_rate(seed, schedule, rounds):
+        """The affine-map rate and the semilog-fitted residual rate of a run
+        on the n = 20 quadratic inputs, beta = 0.05 and eta = 4, under
+        `schedule`, fitted over rounds >= 100 with residual in (1e-12, 1e100)."""
+        objective = make_quadratic_instance(20, 5, seed)
+        graph = generate_random_graph(20, 0.3, seed)
+        cfg = RunConfig(graph=graph, objective=objective, schedule=parse_schedule(schedule),
+                        beta=0.05, eta=4.0, rounds=rounds, seed=seed)
+        rate = periodic_rate(objective, graph, cfg.beta, cfg.eta, cfg.schedule.period or 1)
+        _, series = run_with_series(cfg, 0.0, objective.stack.pooled().center)
+        resid = series.primal_residual
+        keep = (series.rounds >= 100) & (resid > 1e-12) & (resid < 1e100)
+        fit = rate_fit(zip(series.rounds[keep], resid[keep]), model="semilog")
+        return rate, float(np.exp(fit.slope))
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_zero_schedule_rate_is_the_affine_iterations(self, seed):
         # Under `zero` every agent broadcasts its iterate, so on a diagonal
-        # quadratic the run is the affine iteration whose rate is rho_0;
-        # measured: rho_0 0.95341 against a fit of 0.95337 at seed 1, and
-        # 0.94051 against 0.93798 at seed 2.
-        objective = make_quadratic_instance(20, 5, seed)
-        graph = generate_random_graph(20, 0.3, seed)
-        cfg = RunConfig(graph=graph, objective=objective, schedule=parse_schedule("zero"),
-                        beta=0.05, eta=4.0, rounds=600, seed=seed)
-        rho_0 = zero_schedule_rate(objective, graph, cfg.beta, cfg.eta)
-        _, series = run_with_series(cfg, 0.0, objective.stack.pooled().center)
-        keep = (series.rounds >= 100) & (series.primal_residual > 1e-12)
-        fit = rate_fit(zip(series.rounds[keep], series.primal_residual[keep]), model="semilog")
-        assert rho_0 - 3e-3 <= np.exp(fit.slope) <= rho_0 + 1e-4
+        # quadratic the run is the affine iteration whose rate is rho_0, the
+        # period map's for N = 1; measured: rho_0 0.95341 against a fit of
+        # 0.95337 at seed 1, and 0.94051 against 0.93798 at seed 2.
+        rho_0, fitted = self.fitted_rate(seed, "zero", 600)
+        assert rho_0 - 3e-3 <= fitted <= rho_0 + 1e-4
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 5, 8])
+    def test_periodic_rate_is_the_fitted_rate(self, period):
+        # Under `everyN:N` one period is N - 1 quiet rounds and one in which
+        # every agent broadcasts. Measured (period map / fit): 0.95341 /
+        # 0.95337, 0.95224 / 0.95221, 0.95100 / 0.95097, 0.94820 / 0.94818 and
+        # 1.06966 / 1.06962 for N = 1, 2, 3, 5, 8; the last run grows.
+        rate, fitted = self.fitted_rate(1, f"everyN:{period}", 1500 if period == 8 else 600)
+        assert abs(fitted - rate) <= 1e-3

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import zero_loss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from etdopt.objective import (
     DiagonalQuadraticLoss,
     LeastSquaresLoss,
     LogisticLoss,
-    ZeroSmooth,
     instance_hash,
     make_lasso_instance,
     make_logistic_instance,
@@ -41,7 +41,7 @@ def grid_prox_oracle(g_value, step, y, lo=-10.0, hi=10.0, points=2_000_001):
 
 def l1_prox(tau, step, v):
     """The objective's prox of tau * ||.||_1 with step `step` at vector v."""
-    obj = CompositeObjective([ZeroSmooth(v.size)], [tau])
+    obj = CompositeObjective([zero_loss(v.size)], [tau])
     return obj.prox_stack(np.array([step]), v[None, :])[0]
 
 
@@ -295,11 +295,11 @@ class TestQuadraticInstance:
 class TestNanParametersRejected:
     def test_l1_weight(self):
         with pytest.raises(ValueError):
-            CompositeObjective([ZeroSmooth(3), ZeroSmooth(3)], [0.1, float("nan")])
+            CompositeObjective([zero_loss(3), zero_loss(3)], [0.1, float("nan")])
 
     def test_negative_l1_weight(self):
         with pytest.raises(ValueError):
-            CompositeObjective([ZeroSmooth(3), ZeroSmooth(3)], [0.1, -0.1])
+            CompositeObjective([zero_loss(3), zero_loss(3)], [0.1, -0.1])
 
     def test_logistic_ridge(self):
         with pytest.raises(ValueError):
@@ -321,7 +321,7 @@ def one_family(kind, rng, n=6, m=4):
     if kind == "quadratic":
         return [DiagonalQuadraticLoss(rng.uniform(1.0, 2.0, m), rng.standard_normal(m))
                 for _ in range(n)]
-    return [ZeroSmooth(m) for _ in range(n)]
+    return [zero_loss(m) for _ in range(n)]
 
 
 FAMILIES = ("least-squares", "ridge-logistic", "quadratic", "zero")
@@ -330,7 +330,7 @@ FAMILIES = ("least-squares", "ridge-logistic", "quadratic", "zero")
 class TestCompositeObjective:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            CompositeObjective([ZeroSmooth(3), ZeroSmooth(4)], [0.0, 0.0])
+            CompositeObjective([zero_loss(3), zero_loss(4)], [0.0, 0.0])
 
     def test_stacked_methods_match_per_agent_parts(self):
         # each family with l1 and zero weights interleaved
@@ -398,11 +398,42 @@ class TestCompositeObjective:
             CompositeObjective(lsq, [0.0])  # one weight for two losses
 
     def test_part_without_stacked_form_rejected(self):
-        class CubicLoss(ZeroSmooth):
+        class CubicLoss(LeastSquaresLoss):
             pass
 
         with pytest.raises(ValueError):
-            CompositeObjective([CubicLoss(2)], [0.0])
+            CompositeObjective([CubicLoss(np.ones((1, 2)), np.ones(1))], [0.0])
+
+
+class TestStackedConstructors:
+    """Each family's constructor takes any leading agent axes, m being the
+    last one, and validates a stack as it does one agent's arrays."""
+
+    def test_stacks_accepted_with_m_the_last_axis(self):
+        assert LeastSquaresLoss(np.ones((2, 3, 4)), np.ones((2, 3))).m == 4
+        assert LogisticLoss(np.ones((2, 3, 4)), np.ones((2, 3)), ridge=[0.0, 0.1]).m == 4
+        assert DiagonalQuadraticLoss(np.ones((2, 4)), np.zeros((2, 4))).m == 4
+
+    @pytest.mark.parametrize("build", [
+        lambda: LeastSquaresLoss(np.ones((2, 3, 4)), np.ones((2, 4))),
+        lambda: LogisticLoss(np.ones((2, 3, 4)), np.ones((2, 3)), ridge=[0.1, -0.1]),
+        lambda: LogisticLoss(np.ones((2, 3, 4)), np.ones((2, 3)), ridge=[0.1, np.nan]),
+        lambda: LogisticLoss(np.ones((2, 3, 4)), np.array([[1.0, -1.0, 1.0], [1.0, 0.5, -1.0]])),
+        lambda: DiagonalQuadraticLoss(np.array([[1.0, 2.0], [1.0, 0.0]]), np.zeros((2, 2))),
+    ], ids=["b-shape", "negative-ridge", "nan-ridge", "label", "zero-diagonal"])
+    def test_bad_stack_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_zero_row_loss_is_the_zero_smooth_part(self):
+        theta = -np.arange(1.0, 7.0).reshape(2, 3)
+        stack = CompositeObjective([zero_loss(3), zero_loss(3)], [0.0, 0.0]).stack
+        for loss, point in ((zero_loss(3), theta[0]), (stack, theta)):
+            assert loss.value(point) == 0.0
+            assert loss.lipschitz == 0.0 and loss.strong_convexity == 0.0
+            grad = loss.gradient(point)
+            assert grad.shape == point.shape
+            assert not grad.any() and not np.signbit(grad).any()
 
 
 class TestSerialization:
@@ -442,13 +473,12 @@ class TestSerialization:
         (lambda: make_logistic_instance(100, 8, 50, 1)[0], "bcf441f2464b5686"),
         (lambda: make_logistic_instance(50, 8, 10, 1, ridge=0.1)[0], "9a0a7ce6f072fb48"),
         (lambda: make_quadratic_instance(100, 50, 1), "05d786553b744eec"),
-        (lambda: CompositeObjective([ZeroSmooth(4)] * 3, [0.1, 0.2, 0.3]), "7914a62780ea495c"),
-    ], ids=["lasso", "logistic", "ridge-logistic", "quadratic", "zero"])
+    ], ids=["lasso", "logistic", "ridge-logistic", "quadratic"])
     def test_pinned_digest(self, build, digest):
         # the digest names the reference files written under cache/
         assert instance_hash(build()) == digest
 
     def test_zero_objectives_of_different_dimension_differ(self):
-        a = CompositeObjective([ZeroSmooth(3), ZeroSmooth(3)], [0.0, 0.0])
-        b = CompositeObjective([ZeroSmooth(4), ZeroSmooth(4)], [0.0, 0.0])
+        a = CompositeObjective([zero_loss(3), zero_loss(3)], [0.0, 0.0])
+        b = CompositeObjective([zero_loss(4), zero_loss(4)], [0.0, 0.0])
         assert instance_hash(a) != instance_hash(b)
